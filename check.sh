@@ -1,5 +1,5 @@
 #!/bin/sh
-# CI-style check: byte-compile everything, run the doctest'd grammar,
+# CI-style check: byte-compile everything, run the module doctests,
 # run the documentation gates (executable docs examples, API-symbol
 # imports, relative links), then tier-1.  Perf gates stay opt-in
 # (`pytest -m perf`), matching the benchmarks/ pattern.
@@ -10,9 +10,19 @@ export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
 echo "== compileall =="
 python -m compileall -q src benchmarks examples tests tools
 
-echo "== doctests (dialect grammar + session shims + rng) =="
-python -m doctest src/repro/query/parser.py src/repro/session.py \
-    src/repro/utils/rng.py
+echo "== doctests (dialect grammar + session + rng) =="
+# A module whose doctests all vanished fails here instead of passing
+# silently over zero examples.
+python - repro.query.parser repro.session repro.utils.rng <<'EOF'
+import doctest
+import importlib
+import sys
+
+for name in sys.argv[1:]:
+    failed, attempted = doctest.testmod(importlib.import_module(name))
+    if failed or not attempted:
+        sys.exit(f"doctest {name}: {failed} failed of {attempted}")
+EOF
 
 # SKIP_DOCS=1 skips the docs gates (used by the CI matrix job, where the
 # dedicated `docs` job is the single owner of these checks).

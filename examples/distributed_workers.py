@@ -10,9 +10,9 @@ runs on three backends (see ``docs/architecture.md``):
 * ``thread`` / ``process`` — real concurrency; wall time is measured, and
   speedup comes from genuinely overlapping the expensive UDF calls.
 
-Part 1 reproduces the classic simulation sweep; part 2 runs the identical
-query on all three backends with a UDF that really blocks for its latency,
-so the measured clocks mean what they say.
+Part 1 sweeps the worker count in the serial simulation; part 2 runs the
+identical query on all three backends with a UDF that really blocks for
+its latency, so the measured clocks mean what they say.
 
 Run:  python examples/distributed_workers.py
 """
@@ -22,7 +22,6 @@ from __future__ import annotations
 import time
 
 from repro import (
-    DistributedTopKExecutor,
     FixedPerCallLatency,
     ReluScorer,
     ShardedTopKEngine,
@@ -48,12 +47,12 @@ def main() -> None:
     print("-- simulation (serial backend, virtual clock) --")
     print("workers | wall time | STK (fraction of optimal)")
     for n_workers in (1, 2, 4, 8):
-        executor = DistributedTopKExecutor(
-            dataset, scorer, k=K, n_workers=n_workers,
+        with ShardedTopKEngine(
+            dataset, scorer, k=K, n_workers=n_workers, backend="serial",
             index_config=IndexConfig(n_clusters=6),
             sync_interval=100, seed=0,
-        )
-        result = executor.run(budget=budget)
+        ) as sharded:
+            result = sharded.run(budget=budget)
         print(f"{n_workers:7d} | {result.wall_time:8.2f}s | "
               f"{result.stk / optimal:.1%}  "
               f"({result.n_rounds} sync rounds)")

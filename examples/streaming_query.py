@@ -1,8 +1,9 @@
 """Streaming anytime top-k: progressive results while the query runs.
 
-The round-based sharded engine (``examples/distributed_workers.py``)
-returns nothing until the whole budget is spent.  The streaming engine
-removes the round barrier: shard workers run continuously in small budget
+The sharded engine (``examples/distributed_workers.py``) runs the shard
+coordinator in rounds and returns nothing until the whole budget is
+spent.  The streaming engine runs the same coordinator without the round
+barrier: shard workers run continuously in small budget
 slices, the coordinator merges each slice outcome the moment it arrives,
 and ``results_iter()`` yields a usable top-k from the first slice onward —
 time-to-first-result is one slice of work instead of one full run.

@@ -125,9 +125,9 @@ from repro.query import (
     parse,
     register_executor,
 )
-from repro.session import OpaqueQuerySession, ParsedQuery, parse_query
-from repro.distributed import DistributedTopKExecutor, DistributedResult
+from repro.session import OpaqueQuerySession
 from repro.parallel import (
+    DistributedResult,
     ShardIndexCache,
     ShardedTopKEngine,
     available_backends,
@@ -228,15 +228,12 @@ __all__ = [
     "acquire_topk",
     "AcquisitionReport",
     "OpaqueQuerySession",
-    "ParsedQuery",
-    "parse_query",
     "parse",
     "QueryPlan",
     "ExecutionPlan",
     "register_executor",
     "available_executors",
     "ResultBase",
-    "DistributedTopKExecutor",
     "DistributedResult",
     "ShardedTopKEngine",
     "ShardIndexCache",

@@ -60,7 +60,7 @@ import numpy as np
 
 
 def _backend_choices() -> List[str]:
-    """The shared backend vocabulary, introspected from the registries."""
+    """The backend vocabulary, introspected from the backend registry."""
     from repro.parallel import available_backends
 
     return available_backends()
@@ -285,7 +285,7 @@ def _cmd_demo(args: argparse.Namespace) -> int:
 
 
 def _cmd_query(args: argparse.Namespace) -> int:
-    from repro import parse_query
+    from repro.query import parse
 
     live_mode = args.live or args.append > 0
     session = _demo_session(args.rows, args.seed, live=live_mode)
@@ -294,7 +294,7 @@ def _cmd_query(args: argparse.Namespace) -> int:
     streaming_mode = (args.stream or args.every is not None
                       or args.confidence is not None)
     try:
-        parsed = parse_query(sql)
+        parsed = parse(sql)
     except Exception:
         parsed = None  # let execute() raise the clean parse error below
     if parsed is not None:
@@ -473,7 +473,6 @@ def _cmd_info(_args: argparse.Namespace) -> int:
 
     import repro
     from repro.parallel import available_backends
-    from repro.streaming import available_backends as stream_backends
 
     print(f"repro {repro.__version__} — Approximating Opaque Top-k Queries "
           "(SIGMOD 2025 reproduction)")
@@ -493,10 +492,11 @@ def _cmd_info(_args: argparse.Namespace) -> int:
         ("repro.query", "dialect parser, logical plans, and the "
                         "single/sharded/streaming executor registry"),
         ("repro.parallel", "sharded execution: per-worker index + engine, "
-                           "coordinator merge, threshold broadcast"),
-        ("repro.streaming", "barrier-free pipeline: merge on arrival, "
-                            "anytime progressive results, "
-                            "confidence-bounded early stop"),
+                           "round-barrier schedule of the coordinator"),
+        ("repro.streaming", "shard coordinator + backends: merge on "
+                            "arrival, threshold broadcast, anytime "
+                            "progressive results, confidence-bounded "
+                            "early stop"),
         ("repro.replay", "recorded-arrival traces + deterministic "
                          "replay of real streaming runs"),
         ("repro.memo", "cross-query score memo (bit-identical warm "
@@ -523,9 +523,9 @@ def _cmd_info(_args: argparse.Namespace) -> int:
     for name, reason in backend_availability().items():
         if reason is not None:
             print(f"  {name}: unavailable — {reason}")
-    print(f"streaming backends: {', '.join(stream_backends())} "
-          "(same names, barrier-free merge-on-arrival execution), "
-          "plus the trace-driven 'replay' backend "
+    print(f"streaming backends: {backends} (the same registry: STREAM "
+          "merges each slice on arrival, WORKERS alone merges at round "
+          "barriers), plus the trace-driven 'replay' backend "
           "(repro demo --replay-trace)")
     print("score cache: on by default (per-table cross-query memo, keyed "
           "by UDF fingerprint; warm answers bit-identical to cold; "

@@ -1,49 +1,27 @@
-"""Execution backends for the sharded engine: serial, thread, process.
+"""Process placement for shard workers, and backend availability.
 
-A backend owns the worker placement and answers one question per round:
-"given per-shard score caps and the latest broadcast threshold, run every
-shard for one round and return their :class:`~repro.parallel.worker.RoundOutcome`
-objects in worker order."  Everything else — budgeting, merging, threshold
-broadcast, result assembly — lives in the coordinator
-(:class:`~repro.parallel.engine.ShardedTopKEngine`), so all three backends
-share the exact same protocol.
+The backends themselves — ``serial``, ``thread``, ``process`` — live in
+the one registry of :mod:`repro.streaming.backends`, which both
+coordinator schedules (barrier rounds and barrier-free streaming) use.
+This module holds what the process backend needs before any slice runs:
 
-* :class:`SerialBackend` runs shards one after another on the calling
-  thread.  It allocates the budget *live* (each shard's cap sees what the
-  previous shards actually consumed), which makes it bit-identical to the
-  original single-process round simulation; its clock is the virtual
-  ``max(round costs)`` of the paper's analysis.
-* :class:`ThreadBackend` runs every shard's round concurrently on a
-  :class:`concurrent.futures.ThreadPoolExecutor`.  Useful when the UDF
-  releases the GIL (I/O, numpy kernels, remote model calls).
-* :class:`ProcessBackend` pins each shard to its own single-process
-  :class:`concurrent.futures.ProcessPoolExecutor`.  The shard is built once
-  per process from a picklable :class:`~repro.parallel.worker.ShardSpec`;
-  rounds exchange only light outcome payloads, never indexes or histograms.
-
-Concurrent backends pre-assign each round's caps (in worker order, from the
-remaining budget) instead of allocating live; the split differs from serial
-only in end-game rounds where a shard exhausts mid-round, which is why only
-``serial`` promises bit-identical results.
+* :func:`start_process_pools` pins each shard to its own single-process
+  :class:`concurrent.futures.ProcessPoolExecutor`, bootstrapped from a
+  picklable :class:`~repro.parallel.worker.ShardSpec`, so a slice only
+  ships ``(cap, floor)`` down and a light outcome back;
+* :func:`backend_availability` probes, once per process, whether child
+  processes work here at all.
 """
 
 from __future__ import annotations
 
 import multiprocessing
 import os
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
-from dataclasses import replace
-from typing import Dict, List, Optional, Sequence, Type
+from concurrent.futures import ProcessPoolExecutor
+from typing import Dict, List, Optional
 
 from repro.errors import ConfigurationError
-from repro.parallel.worker import (
-    RoundOutcome,
-    ShardSpec,
-    ShardWorker,
-    process_init,
-    process_run_round,
-    process_snapshot,
-)
+from repro.parallel.worker import ShardSpec, process_init
 
 
 def _pool_ready() -> bool:
@@ -87,7 +65,7 @@ def start_process_pools(specs: List[ShardSpec]) -> List[ProcessPoolExecutor]:
     shm attach, index build) in parallel instead of serializing at
     first-round time.  On any failure every pool created so far is shut
     down before the error propagates, so a failed start never leaks child
-    processes.  Shared by the round-based and streaming process backends.
+    processes.
     """
     validate_process_specs(specs)
     context = _mp_context()
@@ -105,201 +83,6 @@ def start_process_pools(specs: List[ShardSpec]) -> List[ProcessPoolExecutor]:
             pool.shutdown(wait=False, cancel_futures=True)
         raise
     return pools
-
-
-def _preassign_caps(per_worker: int, budget_remaining: int,
-                    active: Sequence[bool]) -> List[int]:
-    """Deal the round's budget to active shards, in worker order."""
-    remaining = budget_remaining
-    caps: List[int] = []
-    for is_active in active:
-        cap = min(per_worker, max(0, remaining)) if is_active else 0
-        caps.append(cap)
-        remaining -= cap
-    return caps
-
-
-class ShardBackend:
-    """Common interface; subclasses define placement and concurrency."""
-
-    name: str = "abstract"
-    #: True when round costs are charged to the virtual clock (simulation);
-    #: False when the coordinator should measure real wall-clock instead.
-    virtual_clock: bool = True
-
-    def start(self, specs: List[ShardSpec], dataset, scorer) -> None:
-        """Materialize the shards (in-process or in child processes)."""
-        raise NotImplementedError
-
-    def run_round(self, per_worker: int, budget_remaining: int,
-                  active: Sequence[bool],
-                  threshold_floor: Optional[float]) -> List[RoundOutcome]:
-        """Run one synchronized round; outcomes come back in worker order."""
-        raise NotImplementedError
-
-    def snapshots(self) -> List[dict]:
-        """Collect every shard's engine snapshot (see core.snapshot)."""
-        raise NotImplementedError
-
-    def inline_workers(self) -> Optional[List[ShardWorker]]:
-        """The live :class:`ShardWorker` list when it exists in-process.
-
-        Backends whose shards live in the coordinator process (serial,
-        thread) return them so the coordinator can harvest freshly built
-        shard indexes into a :class:`~repro.parallel.cache.ShardIndexCache`;
-        placement-remote backends (process) return ``None``.
-        """
-        return None
-
-    def close(self) -> None:
-        """Release any pools; idempotent."""
-
-
-class SerialBackend(ShardBackend):
-    """Deterministic one-thread execution — the simulation oracle."""
-
-    name = "serial"
-    virtual_clock = True
-
-    def __init__(self) -> None:
-        self.workers: List[ShardWorker] = []
-
-    def start(self, specs: List[ShardSpec], dataset, scorer) -> None:
-        self.workers = [ShardWorker(spec, dataset=dataset, scorer=scorer)
-                        for spec in specs]
-
-    def run_round(self, per_worker, budget_remaining, active,
-                  threshold_floor) -> List[RoundOutcome]:
-        outcomes: List[RoundOutcome] = []
-        remaining = budget_remaining
-        for worker in self.workers:
-            # Live allocation: the cap sees what earlier shards consumed,
-            # exactly like the single-process round loop.
-            cap = min(per_worker, max(0, remaining))
-            outcome = worker.run_round(cap, threshold_floor)
-            remaining -= outcome.scored
-            outcomes.append(outcome)
-        return outcomes
-
-    def snapshots(self) -> List[dict]:
-        return [worker.snapshot() for worker in self.workers]
-
-    def inline_workers(self) -> Optional[List[ShardWorker]]:
-        return self.workers
-
-
-class ThreadBackend(ShardBackend):
-    """One thread per shard per round via ThreadPoolExecutor."""
-
-    name = "thread"
-    virtual_clock = False
-
-    def __init__(self) -> None:
-        self.workers: List[ShardWorker] = []
-        self._pool: Optional[ThreadPoolExecutor] = None
-
-    def start(self, specs: List[ShardSpec], dataset, scorer) -> None:
-        self.workers = [ShardWorker(spec, dataset=dataset, scorer=scorer)
-                        for spec in specs]
-        self._pool = ThreadPoolExecutor(
-            max_workers=max(1, len(self.workers)),
-            thread_name_prefix="repro-shard",
-        )
-
-    def run_round(self, per_worker, budget_remaining, active,
-                  threshold_floor) -> List[RoundOutcome]:
-        assert self._pool is not None, "start() must run first"
-        caps = _preassign_caps(per_worker, budget_remaining, active)
-        futures = [
-            self._pool.submit(worker.run_round, cap, threshold_floor)
-            for worker, cap in zip(self.workers, caps)
-        ]
-        return [future.result() for future in futures]
-
-    def snapshots(self) -> List[dict]:
-        return [worker.snapshot() for worker in self.workers]
-
-    def inline_workers(self) -> Optional[List[ShardWorker]]:
-        return self.workers
-
-    def close(self) -> None:
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
-
-
-class ProcessBackend(ShardBackend):
-    """One dedicated child process per shard via ProcessPoolExecutor.
-
-    Each shard gets its own ``max_workers=1`` pool so worker state can live
-    in the child process for the whole query: the initializer builds the
-    shard from its picklable spec once, and every subsequent round only
-    ships ``(cap, threshold)`` down and a light outcome back.
-    """
-
-    name = "process"
-    virtual_clock = False
-
-    def __init__(self) -> None:
-        self._pools: List[ProcessPoolExecutor] = []
-        self._last: Dict[int, RoundOutcome] = {}
-
-    def start(self, specs: List[ShardSpec], dataset, scorer) -> None:
-        self._pools = start_process_pools(specs)
-
-    def run_round(self, per_worker, budget_remaining, active,
-                  threshold_floor) -> List[RoundOutcome]:
-        caps = _preassign_caps(per_worker, budget_remaining, active)
-        # Only shards with budget cross the pipe; an inactive or 0-cap
-        # shard gets a synthesized idle outcome below (identical to what
-        # its child would report for a zero-cap round: no scoring, same
-        # running top-k and totals) without the IPC round-trip.
-        futures = {
-            worker: pool.submit(process_run_round, cap, threshold_floor)
-            for worker, (pool, cap) in enumerate(zip(self._pools, caps))
-            if cap > 0
-        }
-        outcomes: List[RoundOutcome] = []
-        for worker, cap in enumerate(caps):
-            if worker in futures:
-                outcome = futures[worker].result()
-                self._last[worker] = outcome
-            else:
-                outcome = self._idle_outcome(worker)
-            outcomes.append(outcome)
-        return outcomes
-
-    def _idle_outcome(self, worker: int) -> RoundOutcome:
-        last = self._last.get(worker)
-        if last is not None:
-            # Zero out per-round fields, including the memo write-back
-            # payload: re-reporting last round's fresh scores would
-            # double-count hits/misses in the coordinator's accounting.
-            return replace(last, scored=0, cost=0.0, elapsed=0.0,
-                           fresh_scores=[], memo_hits=0)
-        # No round ran yet on this shard: an empty report (the merge and
-        # the convergence bound both treat it as "nothing new").
-        return RoundOutcome(
-            worker_id=worker, scored=0, cost=0.0, elapsed=0.0,
-            topk=[], exhausted=False, n_scored_total=0, local_stk=0.0,
-        )
-
-    def snapshots(self) -> List[dict]:
-        return [pool.submit(process_snapshot).result()
-                for pool in self._pools]
-
-    def close(self) -> None:
-        for pool in self._pools:
-            pool.shutdown(wait=True)
-        self._pools = []
-        self._last = {}
-
-
-BACKENDS: Dict[str, Type[ShardBackend]] = {
-    SerialBackend.name: SerialBackend,
-    ThreadBackend.name: ThreadBackend,
-    ProcessBackend.name: ProcessBackend,
-}
 
 
 _AVAILABILITY: Optional[Dict[str, Optional[str]]] = None
@@ -332,13 +115,18 @@ def backend_availability(refresh: bool = False) -> Dict[str, Optional[str]]:
 
     ``serial`` and ``thread`` run in the coordinator process and are
     always usable; ``process`` is probed once per process (see
-    :func:`_probe_process`) and cached.  The CLI's ``info`` command prints
-    the reasons; :func:`make_backend` refuses unavailable names.
+    :func:`_probe_process`) and cached.  The names come from the one
+    registry, :data:`repro.streaming.backends.STREAM_BACKENDS`.  The
+    CLI's ``info`` command prints the reasons;
+    :func:`~repro.streaming.backends.make_stream_backend` refuses
+    unavailable names.
     """
     global _AVAILABILITY
     if _AVAILABILITY is None or refresh:
-        availability = {name: None for name in BACKENDS}
-        availability[ProcessBackend.name] = _probe_process()
+        from repro.streaming.backends import STREAM_BACKENDS
+
+        availability = {name: None for name in STREAM_BACKENDS}
+        availability["process"] = _probe_process()
         _AVAILABILITY = availability
     return dict(_AVAILABILITY)
 
@@ -347,21 +135,3 @@ def available_backends() -> List[str]:
     """Names of the usable backends on this machine, serial first."""
     return [name for name, reason in backend_availability().items()
             if reason is None]
-
-
-def make_backend(name: str) -> ShardBackend:
-    """Instantiate a backend by name; raise with guidance on a typo."""
-    try:
-        backend_cls = BACKENDS[name]
-    except KeyError:
-        raise ConfigurationError(
-            f"unknown parallel backend {name!r}; available: "
-            f"{', '.join(available_backends())} "
-            f"(this machine reports {os.cpu_count() or 1} CPU core(s))"
-        ) from None
-    reason = backend_availability().get(name)
-    if reason is not None:
-        raise ConfigurationError(
-            f"parallel backend {name!r} is unavailable here: {reason}"
-        )
-    return backend_cls()

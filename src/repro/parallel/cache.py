@@ -1,6 +1,6 @@
 """Cross-run cache of per-shard partitions and partition indexes.
 
-Sharded (round-based) and streaming runs over the same table rebuild
+Sharded (barrier-schedule) and streaming runs over the same table rebuild
 identical per-partition artefacts whenever they share the partitioning
 inputs: partitions are dealt by
 ``RngFactory(root_entropy).named("partition")`` and each shard's index is

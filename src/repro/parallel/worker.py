@@ -1,11 +1,11 @@
-"""Shard-side execution: partitioning, per-shard state, and round running.
+"""Shard-side execution: partitioning, per-shard state, and slice running.
 
 One *shard* owns a partition of the dataset, its own index over that
 partition, and its own :class:`~repro.core.engine.TopKEngine` — exactly the
 per-worker setup of the paper's Section 6 MapReduce sketch.  The coordinator
-(:mod:`repro.parallel.engine`) never touches shard internals; it only asks a
-shard to run one synchronization round and reads back a light
-:class:`RoundOutcome`.
+(:mod:`repro.streaming.engine`) never touches shard internals; it only asks
+a shard to run one budget slice (:meth:`ShardWorker.run_round`) and reads
+back a light :class:`RoundOutcome`.
 
 Everything a shard needs to bootstrap itself is captured in a *picklable*
 :class:`ShardSpec`, so the same code path runs in-process (serial and thread
@@ -156,7 +156,7 @@ class ShardSpec:
 
 @dataclass
 class RoundOutcome:
-    """What a shard reports back after one synchronization round."""
+    """What a shard reports back after one budget slice."""
 
     worker_id: int
     scored: int                  # elements scored this round
@@ -206,9 +206,8 @@ def build_shard_specs(dataset, scorer: Scorer, *, n_workers: int, k: int,
                                  Optional[SharedFeatureTable]]:
     """Partition the dataset and assemble one :class:`ShardSpec` per worker.
 
-    Shared by the round-based (:mod:`repro.parallel.engine`) and streaming
-    (:mod:`repro.streaming.engine`) coordinators so both produce identical
-    shards from identical inputs.  ``ids`` restricts execution to a
+    Used by the shard coordinator (:mod:`repro.streaming.engine`) on both
+    schedules, so they produce identical shards from identical inputs.  ``ids`` restricts execution to a
     candidate subset (the dialect's ``WHERE`` pushdown): only those
     elements are partitioned, indexed, and ever drawn.  When
     ``index_cache`` (a :class:`~repro.parallel.cache.ShardIndexCache`)
@@ -345,7 +344,7 @@ def harvest_shard_indexes(index_cache, *, root_entropy: int,
 
 
 class ShardWorker:
-    """One shard: partition + local index + local engine + round loop."""
+    """One shard: partition + local index + local engine + slice loop."""
 
     def __init__(self, spec: ShardSpec, dataset=None,
                  scorer: Optional[Scorer] = None) -> None:

@@ -1,8 +1,8 @@
 """Executor registry: pluggable execution strategies for resolved plans.
 
-Mirrors the backend registries of :mod:`repro.parallel.backends` and
-:mod:`repro.streaming.backends`: each executor registers itself under a
-name (``single`` / ``sharded`` / ``streaming``), and
+Mirrors the backend registry of :mod:`repro.streaming.backends`: each
+executor registers itself under a name (``single`` / ``sharded`` /
+``streaming``), and
 :meth:`repro.session.OpaqueQuerySession.execute` dispatches one resolved
 :class:`~repro.query.plan.ExecutionPlan` through :func:`get_executor` —
 no if/elif chain, and a new execution strategy is one registered class.
@@ -188,9 +188,54 @@ class SingleExecutor(QueryExecutor):
         return result
 
 
+def _shard_engine(session: "OpaqueQuerySession", plan: ExecutionPlan,
+                  engine_cls, **schedule):
+    """A shard coordinator for the plan (``schedule``: cadence, stops)."""
+    dataset = (plan.dataset if plan.dataset is not None
+               else session._tables[plan.table])
+    engine = engine_cls(
+        dataset, session._udfs[plan.udf],
+        k=plan.k,
+        n_workers=plan.workers,
+        backend=plan.backend,
+        index_config=session._index_configs.get(
+            plan.table, session._default_index_config
+        ),
+        engine_config=EngineConfig(k=plan.k, batch_size=plan.batch_size),
+        seed=plan.seed,
+        index_cache=session._shard_cache_for(plan.table),
+        ids=plan.allowed_ids,
+        memo=session._memo_view_for(plan),
+        trace=plan.trace,
+        gate=plan.gate,
+        table_version=plan.table_version,
+        **schedule,
+    )
+    # Priors are scoped by root entropy, which the engine only settles at
+    # construction; shard specs are built lazily at first run, so
+    # attaching them here still reaches every fresh shard engine.
+    engine._priors = _shard_priors(session, plan, engine._root_entropy)
+    return engine
+
+
+def _run_shard_engine(name: str, session: "OpaqueQuerySession",
+                      plan: ExecutionPlan, engine) -> "ResultBase":
+    tracer = plan.trace
+    if tracer is not None:
+        tracer.push(f"execute[{name}]", workers=plan.workers,
+                    backend=plan.backend)
+    try:
+        return engine.run(plan.budget, every=plan.every)
+    finally:
+        if tracer is not None:
+            tracer.pop()
+        _harvest_shard_priors(session, plan, engine)
+        engine.close()
+
+
 @register_executor
 class ShardedExecutor(QueryExecutor):
-    """Round-based sharded execution (:mod:`repro.parallel`)."""
+    """The shard coordinator on a round-barrier schedule."""
 
     name = "sharded"
 
@@ -198,48 +243,14 @@ class ShardedExecutor(QueryExecutor):
                 plan: ExecutionPlan) -> "ResultBase":
         from repro.parallel.engine import ShardedTopKEngine
 
-        dataset = (plan.dataset if plan.dataset is not None
-                   else session._tables[plan.table])
-        sharded = ShardedTopKEngine(
-            dataset, session._udfs[plan.udf],
-            k=plan.k,
-            n_workers=plan.workers,
-            backend=plan.backend,
-            index_config=session._index_configs.get(
-                plan.table, session._default_index_config
-            ),
-            engine_config=EngineConfig(k=plan.k,
-                                       batch_size=plan.batch_size),
-            sync_interval=session._sync_interval,
-            seed=plan.seed,
-            index_cache=session._shard_cache_for(plan.table),
-            ids=plan.allowed_ids,
-            memo=session._memo_view_for(plan),
-            trace=plan.trace,
-            gate=plan.gate,
-            table_version=plan.table_version,
-        )
-        # Priors are scoped by root entropy, which the engine only settles
-        # at construction; shard specs are built lazily at first run, so
-        # attaching them here still reaches every fresh shard engine.
-        sharded._priors = _shard_priors(session, plan,
-                                        sharded._root_entropy)
-        tracer = plan.trace
-        if tracer is not None:
-            tracer.push(f"execute[{self.name}]", workers=plan.workers,
-                        backend=plan.backend)
-        try:
-            return sharded.run(plan.budget)
-        finally:
-            if tracer is not None:
-                tracer.pop()
-            _harvest_shard_priors(session, plan, sharded)
-            sharded.close()
+        engine = _shard_engine(session, plan, ShardedTopKEngine,
+                               sync_interval=session._sync_interval)
+        return _run_shard_engine(self.name, session, plan, engine)
 
 
 @register_executor
 class StreamingExecutor(QueryExecutor):
-    """Barrier-free streaming execution (:mod:`repro.streaming`).
+    """The shard coordinator, barrier-free (:mod:`repro.streaming`).
 
     Also builds the engine for :meth:`OpaqueQuerySession.stream`, which
     consumes ``results_iter`` live instead of running to completion.
@@ -251,45 +262,11 @@ class StreamingExecutor(QueryExecutor):
                plan: ExecutionPlan) -> "StreamingTopKEngine":
         from repro.streaming.engine import StreamingTopKEngine
 
-        dataset = (plan.dataset if plan.dataset is not None
-                   else session._tables[plan.table])
-        streaming = StreamingTopKEngine(
-            dataset, session._udfs[plan.udf],
-            k=plan.k,
-            n_workers=plan.workers,
-            backend=plan.backend,
-            index_config=session._index_configs.get(
-                plan.table, session._default_index_config
-            ),
-            engine_config=EngineConfig(k=plan.k,
-                                       batch_size=plan.batch_size),
-            slice_budget=session._sync_interval,
-            confidence=plan.confidence,
-            seed=plan.seed,
-            index_cache=session._shard_cache_for(plan.table),
-            ids=plan.allowed_ids,
-            memo=session._memo_view_for(plan),
-            trace=plan.trace,
-            gate=plan.gate,
-            table_version=plan.table_version,
-        )
-        # Same lazy-spec trick as the sharded executor: the prior scope
-        # needs the root entropy the constructor just settled.
-        streaming._priors = _shard_priors(session, plan,
-                                          streaming._root_entropy)
-        return streaming
+        return _shard_engine(session, plan, StreamingTopKEngine,
+                             slice_budget=session._sync_interval,
+                             confidence=plan.confidence)
 
     def execute(self, session: "OpaqueQuerySession",
                 plan: ExecutionPlan) -> "ResultBase":
-        streaming = self.engine(session, plan)
-        tracer = plan.trace
-        if tracer is not None:
-            tracer.push(f"execute[{self.name}]", workers=plan.workers,
-                        backend=plan.backend)
-        try:
-            return streaming.run(plan.budget, every=plan.every)
-        finally:
-            if tracer is not None:
-                tracer.pop()
-            _harvest_shard_priors(session, plan, streaming)
-            streaming.close()
+        return _run_shard_engine(self.name, session, plan,
+                                 self.engine(session, plan))

@@ -278,13 +278,11 @@ class QueryService:
         """The scorer demand a query commits at admission.
 
         Its resolved budget when it has one, else every candidate the
-        plan leaves in play — plus the engine's boundary headroom, so a
-        fully funded run is bit-identical to a solo one even at budget
-        edges the engines overshoot: the single engine's final batch
-        crosses the budget line (up to ``batch_size - 1`` extra scored
-        calls), and the sharded coordinator's last-round reserve rounds
-        up to the active shard count before refunding the remainder.
-        The streaming engine never reserves past its budget.  Unused
+        plan leaves in play — plus the single engine's boundary headroom,
+        so a fully funded run is bit-identical to a solo one even at the
+        budget edge: its final batch crosses the budget line (up to
+        ``batch_size - 1`` extra scored calls).  The shard coordinator
+        (sharded and streaming) never reserves past its budget.  Unused
         headroom returns to the pool when the grant retires.
         """
         plan_kwargs = {key: value for key, value in execute_kwargs.items()
@@ -295,8 +293,6 @@ class QueryService:
                   else min(plan.budget, plan.n_candidates))
         if plan.mode == "single":
             return demand + max(0, plan.batch_size - 1)
-        if plan.mode == "sharded":
-            return demand + plan.workers
         return demand
 
     @staticmethod

@@ -28,18 +28,21 @@ single-engine :class:`~repro.core.result.QueryResult`, the sharded
 (``items`` / ``summary()`` / ``budget_spent`` / ``displacement_bound`` /
 ``to_json()``).
 
-:func:`parse_query` and :class:`ParsedQuery` remain as thin deprecation
-shims over the new parser:
+A ``WORKERS`` query runs on the shard coordinator; without a budget it
+scores everything, so its answer is exact and certified (bound 0):
 
-    >>> parse_query("SELECT TOP 10 FROM t ORDER BY f").k
-    10
-    >>> parsed = parse_query("SELECT TOP 5 FROM listings ORDER BY "
-    ...                      "valuation BUDGET 10% SEED 7")
-    >>> (parsed.table, parsed.udf, parsed.budget_fraction, parsed.seed)
-    ('listings', 'valuation', 0.1, 7)
-    >>> parse_query("SELECT TOP 5 FROM t ORDER BY f "
-    ...             "WHERE feature[0] > 0.5 STREAM CONFIDENCE 95%").where
-    'feature[0] > 0.5'
+    >>> import numpy as np
+    >>> from repro import InMemoryDataset, ReluScorer
+    >>> values = np.linspace(-1.0, 1.0, 200)
+    >>> session = OpaqueQuerySession()
+    >>> session.register_table("t", InMemoryDataset(
+    ...     [f"e{i}" for i in range(200)], values.tolist(),
+    ...     values.reshape(-1, 1)))
+    >>> session.register_udf("relu", ReluScorer())
+    >>> result = session.execute(
+    ...     "SELECT TOP 3 FROM t ORDER BY relu WORKERS 2 SEED 1")
+    >>> (result.ids, result.total_scored, result.displacement_bound)
+    (['e199', 'e198', 'e197'], 200, 0.0)
 
 The session builds (and caches) one index per table — the index is
 task-independent, so every UDF registered against a table reuses it.
@@ -54,7 +57,7 @@ from __future__ import annotations
 
 import threading
 import time
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from typing import Dict, Iterator, Optional, Tuple, Union
 
 import numpy as np
@@ -73,68 +76,11 @@ from repro.obs.metrics import BOUND_WIDTH, MEMO_HIT_RATE, QUERIES_TOTAL
 from repro.obs.spans import Span, TraceContext
 from repro.parallel.backends import available_backends
 from repro.parallel.cache import ShardIndexCache
-from repro.parallel.engine import DistributedResult
 from repro.query.executors import StreamingExecutor, get_executor
 from repro.query.parser import parse
 from repro.query.plan import ExecutionPlan, QueryPlan
 from repro.scoring.base import Scorer
 from repro.streaming.engine import ProgressiveResult, StreamingResult
-
-
-@dataclass(frozen=True)
-class ParsedQuery:
-    """Deprecated flat view of one parsed query.
-
-    Thin shim over :class:`repro.query.plan.QueryPlan` kept for backward
-    compatibility; new code should call :func:`repro.query.parse` and use
-    the plan directly (the ``where`` predicate survives only as canonical
-    text here).
-    """
-
-    k: int
-    table: str
-    udf: str
-    budget: Optional[int]          # absolute scoring-call budget
-    budget_fraction: Optional[float]  # or a fraction of the candidates
-    batch_size: int
-    seed: Optional[int]
-    descending: bool = True        # DESC is documentary; top-k maximizes
-    workers: Optional[int] = None  # WORKERS clause (None = not specified)
-    backend: Optional[str] = None  # BACKEND clause (None = not specified)
-    stream: bool = False           # STREAM clause (barrier-free execution)
-    every: Optional[int] = None    # EVERY clause (snapshot granularity)
-    confidence: Optional[float] = None  # CONFIDENCE clause (early stop)
-    where: Optional[str] = None    # WHERE clause, canonical predicate text
-    explain: bool = False          # EXPLAIN-wrapped statement
-    analyze: bool = False          # EXPLAIN ANALYZE-wrapped statement
-
-
-def parse_query(text: str) -> ParsedQuery:
-    """Deprecated: parse the dialect into a flat :class:`ParsedQuery`.
-
-    Thin shim over :func:`repro.query.parse`; see the parser module
-    (:mod:`repro.query.parser`) for the normative grammar and
-    ``docs/dialect.md`` for the tour.
-    """
-    plan = parse(text)
-    return ParsedQuery(
-        k=plan.k,
-        table=plan.table,
-        udf=plan.udf,
-        budget=plan.budget,
-        budget_fraction=plan.budget_fraction,
-        batch_size=plan.batch_size,
-        seed=plan.seed,
-        descending=plan.descending,
-        workers=plan.workers,
-        backend=plan.backend,
-        stream=plan.stream,
-        every=plan.every,
-        confidence=plan.confidence,
-        where=None if plan.where is None else plan.where.canonical(),
-        explain=plan.explain,
-        analyze=plan.analyze,
-    )
 
 
 class OpaqueQuerySession:

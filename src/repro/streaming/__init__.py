@@ -1,28 +1,26 @@
-"""Barrier-free streaming execution of opaque top-k queries.
+"""The shard coordinator of the paper's Section 6 protocol, and its backends.
 
-Where :mod:`repro.parallel` runs the paper's Section 6 shard/coordinator
-protocol in synchronized rounds, this subsystem runs it as a *pipeline*:
-shard workers execute continuously in small budget slices, an
-event-driven coordinator merges each slice outcome the moment it arrives,
-the k-th-score threshold is re-broadcast asynchronously (picked up at the
+:class:`~repro.streaming.engine.StreamingTopKEngine` runs the
+coordinator as a *pipeline*: shard workers execute continuously in small
+budget slices, each slice outcome is merged the moment it arrives, the
+k-th-score threshold is re-broadcast asynchronously (picked up at the
 next slice boundary), and callers consume an **anytime results API** —
 :meth:`~repro.streaming.engine.StreamingTopKEngine.results_iter` yields
 :class:`~repro.streaming.engine.ProgressiveResult` snapshots from the
 first slice onward, each carrying an explicit displacement bound.  Two
 early stops: the ``stable_slices`` heuristic, and the principled
-``confidence=p`` certificate built on
-:mod:`repro.core.convergence`.
+``confidence=p`` certificate built on :mod:`repro.core.convergence`.
+:class:`~repro.parallel.engine.ShardedTopKEngine` is the same
+coordinator on a barrier schedule (synchronized rounds).
 
-Backends mirror :mod:`repro.parallel` name for name (``serial`` is a
-deterministic event-driven simulation; ``thread`` / ``process`` run real
-concurrency on the same picklable :class:`~repro.parallel.worker.ShardSpec`
-bootstrap), plus the trace-driven ``replay`` backend of
-:mod:`repro.replay` for bit-identical re-execution of recorded real
-runs.  Entry point:
-:class:`~repro.streaming.engine.StreamingTopKEngine`.  The merge-on-arrival
-protocol and its threshold-staleness invariants are documented in
-``docs/architecture.md`` ("Streaming execution"); the user guide is
-``docs/streaming.md``.
+:data:`~repro.streaming.backends.STREAM_BACKENDS` is the one backend
+registry (``serial`` is a deterministic event-driven simulation;
+``thread`` / ``process`` run real concurrency on the picklable
+:class:`~repro.parallel.worker.ShardSpec` bootstrap); the trace-driven
+``replay`` backend of :mod:`repro.replay` re-executes recorded real runs
+bit for bit.  The merge-on-arrival protocol and its threshold-staleness
+invariants are documented in ``docs/architecture.md`` ("Streaming
+execution"); the user guide is ``docs/streaming.md``.
 """
 
 from repro.streaming.backends import (

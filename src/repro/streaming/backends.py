@@ -1,13 +1,14 @@
-"""Execution backends for the streaming engine: serial, thread, process.
+"""Execution backends of the shard coordinator: serial, thread, process.
 
-A streaming backend answers a different question than the round-based
-:mod:`repro.parallel.backends`: instead of "run every shard for one
-synchronized round", the coordinator asks "run *this* shard for one small
-budget slice" (:meth:`StreamBackend.submit`) and, independently, "hand me
-whichever in-flight slice finishes next" (:meth:`StreamBackend.next_event`).
-There is no barrier anywhere — each shard is resubmitted the moment its
-previous slice is merged, so a slow shard never gates the others and the
-coordinator merges outcomes strictly in arrival order.
+This is the one backend registry (:data:`STREAM_BACKENDS`): the streaming
+schedule and the barrier schedule of
+:class:`~repro.parallel.engine.ShardedTopKEngine` both run on it, and the
+CLI and the session dialect introspect it.  The coordinator asks a
+backend "run *this* shard for one small budget slice"
+(:meth:`StreamBackend.submit`) and, independently, "hand me whichever
+in-flight slice finishes next" (:meth:`StreamBackend.next_event`).  The
+backend imposes no barrier; the barrier schedule is the coordinator's
+choice to submit nothing while a round is in flight.
 
 The coordinator keeps **at most one slice in flight per shard** (it only
 resubmits a shard after consuming that shard's previous outcome), which is
@@ -24,16 +25,11 @@ the global truth.  See ``docs/architecture.md`` ("Streaming execution").
   making streaming runs snapshot-testable.
 * :class:`ThreadStreamBackend` runs slices on a thread pool (one thread
   per shard) and releases genuinely real arrivals.
-* :class:`ProcessStreamBackend` reuses the pinned one-process-per-shard
-  placement of the round engine (same ``process_init`` /
-  ``process_run_round`` entry points, same picklable
-  :class:`~repro.parallel.worker.ShardSpec` bootstrap), so shard state
+* :class:`ProcessStreamBackend` pins each shard to its own child process
+  (:func:`repro.parallel.backends.start_process_pools`, bootstrapped from
+  a picklable :class:`~repro.parallel.worker.ShardSpec`), so shard state
   stays resident in its child for the whole run and only
   ``(cap, floor)`` / outcome payloads cross the pipe per slice.
-
-The registry mirrors :data:`repro.parallel.backends.BACKENDS` name for
-name — one backend vocabulary across both execution modes, introspected
-(never hard-coded) by the CLI and the session dialect.
 """
 
 from __future__ import annotations
@@ -52,7 +48,7 @@ from typing import Dict, List, Optional, Tuple, Type
 
 from repro.errors import ConfigurationError
 from repro.parallel.backends import (
-    BACKENDS as _ROUND_BACKENDS,
+    available_backends,
     backend_availability,
     start_process_pools,
 )
@@ -238,9 +234,8 @@ class ProcessStreamBackend(StreamBackend):
 
     def start(self, specs: List[ShardSpec], dataset, scorer,
               worker_times: Optional[List[float]] = None) -> None:
-        # Shares the round backend's concurrent pool bootstrap (warmed-up
-        # children, shm-or-inline spec validation, no leaked pools on a
-        # failed start).
+        # Warmed-up children, shm-or-inline spec validation, no leaked
+        # pools on a failed start.
         self._pools = start_process_pools(specs)
 
     def submit(self, worker_id: int, cap: int,
@@ -263,44 +258,29 @@ class ProcessStreamBackend(StreamBackend):
         self._pools = []
 
 
-#: Same names, same order as the round engine's registry — one backend
-#: vocabulary across execution modes (asserted by tests and introspected by
-#: the CLI / session layer rather than ever hard-coded).
+#: The one backend registry, introspected (never hard-coded) by the CLI
+#: and the session dialect; availability is probed by
+#: :func:`repro.parallel.backends.backend_availability`.
 STREAM_BACKENDS: Dict[str, Type[StreamBackend]] = {
     SerialStreamBackend.name: SerialStreamBackend,
     ThreadStreamBackend.name: ThreadStreamBackend,
     ProcessStreamBackend.name: ProcessStreamBackend,
 }
 
-assert set(STREAM_BACKENDS) == set(_ROUND_BACKENDS), (
-    "streaming backend registry diverged from repro.parallel.BACKENDS"
-)
-
-
-def available_backends() -> List[str]:
-    """Names of the usable streaming backends, serial first.
-
-    Availability mirrors the round registry's probe (same placements, same
-    child-process requirements — see
-    :func:`repro.parallel.backends.backend_availability`).
-    """
-    return [name for name, reason in backend_availability().items()
-            if reason is None and name in STREAM_BACKENDS]
-
 
 def make_stream_backend(name: str) -> StreamBackend:
-    """Instantiate a streaming backend by name; raise with guidance."""
+    """Instantiate a backend by name; raise with guidance."""
     try:
         backend_cls = STREAM_BACKENDS[name]
     except KeyError:
         raise ConfigurationError(
-            f"unknown streaming backend {name!r}; available: "
+            f"unknown backend {name!r}; available: "
             f"{', '.join(available_backends())} "
             f"(this machine reports {os.cpu_count() or 1} CPU core(s))"
         ) from None
     reason = backend_availability().get(name)
     if reason is not None:
         raise ConfigurationError(
-            f"streaming backend {name!r} is unavailable here: {reason}"
+            f"backend {name!r} is unavailable here: {reason}"
         )
     return backend_cls()

@@ -1,14 +1,20 @@
-"""Barrier-free streaming top-k: merge on arrival, progressive results.
+"""The shard coordinator: merge on arrival, or at a round barrier.
 
-The round-based coordinator (:mod:`repro.parallel.engine`) synchronizes
-every shard at a barrier each round, so the slowest shard gates the merge
-and callers see nothing until the whole run returns.
-:class:`StreamingTopKEngine` removes the barrier: shard workers run
-continuously in small budget *slices*, the coordinator merges each
-:class:`~repro.streaming.backends.SliceEvent` the moment it arrives into
-the global :class:`~repro.core.minmax_heap.TopKBuffer`, and the k-th-score
-threshold is re-broadcast asynchronously — a shard picks up the latest
+Shard workers run their own bandit in small budget *slices*; the
+coordinator merges each :class:`~repro.streaming.backends.SliceEvent`
+into the global :class:`~repro.core.minmax_heap.TopKBuffer` and
+broadcasts the k-th score back as every shard's kick-out floor — the
+paper's Section 6 protocol.  :class:`StreamingTopKEngine` runs it
+barrier-free: a shard is refilled the moment its slice is merged, so the
+slowest shard never gates the others and a shard picks up the latest
 floor at its next slice boundary, never mid-slice.
+
+A *round* is the same coordinator on a barrier schedule
+(:class:`repro.parallel.engine.ShardedTopKEngine`): no slice is
+submitted while any slice of the current round is in flight, the round's
+arrivals are absorbed in worker order, and the bound refresh, threshold
+broadcast and checkpoint happen once per barrier.  Arrival order then no
+longer depends on timing, so every backend gives the same answer.
 
 Protocol invariants (normative statement in ``docs/architecture.md``):
 
@@ -16,17 +22,16 @@ Protocol invariants (normative statement in ``docs/architecture.md``):
   its previous outcome is merged, so the floor a slice runs under is at
   most one slice stale, and the merge order is a total order of arrivals.
 * **Budget reservation.**  A slice reserves its cap from the shared
-  budget at submission and returns the unused part on arrival; after
-  every merge the unreserved budget is re-offered to *all* idle active
-  shards (dealt fairly when it cannot fund a full slice each), so a
-  shard that exhausts mid-slice frees budget for the others and the
-  engine never overshoots the requested budget even though shards stop
-  at different times.
+  budget at submission and returns the unused part on arrival; the
+  unreserved budget is offered to *all* idle active shards (dealt fairly
+  when it cannot fund a full slice each), so a shard that exhausts
+  mid-slice frees budget for the others and the engine never reserves
+  past the requested budget even though shards stop at different times.
+  Both schedules use this one dealing rule.
 * **Monotone floor.**  The broadcast floor only rises (the global buffer
   threshold is monotone), so a stale floor is always a *lower bound* on
   the true one — shards may waste a little effort, never lose answers.
-* **Lossless merge.**  Identical to the round engine:
-  :func:`repro.parallel.engine.merge_worker_topk` offers every first
+* **Lossless merge.**  :func:`merge_worker_topk` offers every first
   sighting and never re-admits an evicted id.
 
 The anytime surface is :meth:`StreamingTopKEngine.results_iter`, a
@@ -50,9 +55,7 @@ event-driven simulation (virtual clocks, arrival order =
 ``thread`` / ``process`` the same protocol runs on real concurrency and
 the clocks are measured — and with ``record=True`` the real arrival
 order is logged to a :class:`~repro.replay.trace.ArrivalTrace` that
-:mod:`repro.replay` re-executes bit-identically.  Shard bootstrap,
-picklable :class:`~repro.parallel.worker.ShardSpec`, snapshot/resume,
-and the shard-index cache are all shared with the round engine.
+:mod:`repro.replay` re-executes bit-identically.
 """
 
 from __future__ import annotations
@@ -71,15 +74,16 @@ from repro.errors import ConfigurationError, SerializationError
 from repro.index.builder import IndexConfig
 from repro.obs.metrics import (
     MEMO_HITS_TOTAL,
+    ROUNDS_TOTAL,
     SLICES_TOTAL,
     THRESHOLD_STALENESS,
     UDF_CALLS_TOTAL,
 )
 from repro.obs.spans import TraceContext
 from repro.parallel.cache import ShardIndexCache, subset_fingerprint
-from repro.parallel.engine import WorkerReport, merge_worker_topk
 from repro.parallel.worker import (
     RoundOutcome,
+    ShardSpec,
     build_shard_specs,
     harvest_shard_indexes,
 )
@@ -91,7 +95,33 @@ from repro.streaming.backends import (
 )
 from repro.utils.rng import RngFactory
 
-_SNAPSHOT_FORMAT = "repro-streaming-snapshot/1"
+
+@dataclass(frozen=True)
+class WorkerReport:
+    """Final statistics of one shard."""
+
+    worker_id: int
+    n_elements: int
+    n_scored: int
+    virtual_time: float
+    local_stk: float
+    fallback_events: Tuple[Tuple[int, str], ...]
+
+
+def merge_worker_topk(buffer: TopKBuffer, merged_ids: Set[str],
+                      items: List[Tuple[str, float]]) -> None:
+    """Fold one shard's running solution into the global top-k.
+
+    ``merged_ids`` remembers every ID ever offered: scores are immutable, so
+    an element seen twice (second sight can only come from re-reporting the
+    same shard's buffer, or a pathological duplicate ID across shards) is
+    offered exactly once, and an evicted element — below the global k-th
+    score forever — is never re-admitted.
+    """
+    for element_id, score in items:
+        if element_id not in merged_ids:
+            merged_ids.add(element_id)
+            buffer.offer(score, element_id)
 
 
 @dataclass(frozen=True)
@@ -217,25 +247,24 @@ class StreamingResult(ResultBase):
 
 
 class StreamingTopKEngine:
-    """Barrier-free coordinator: continuous shards, merge-on-arrival.
+    """Shard coordinator: continuous shards, merge-on-arrival.
 
     Parameters
     ----------
     dataset / scorer / k:
-        The query, exactly as for the round-based
-        :class:`~repro.parallel.engine.ShardedTopKEngine`.
+        The query, exactly as for :class:`~repro.core.engine.TopKEngine`.
     n_workers:
         Number of shards (1 is valid: a single shard still streams
         progressive snapshots every slice).
     backend:
         ``"serial"`` (deterministic event-driven simulation, virtual
         clock), ``"thread"`` or ``"process"`` (real concurrency, measured
-        clock) — same name vocabulary as :mod:`repro.parallel` — or a
-        ready :class:`~repro.streaming.backends.StreamBackend` instance
-        (how :mod:`repro.replay` injects its trace-driven backend).
+        clock) — the names of
+        :data:`~repro.streaming.backends.STREAM_BACKENDS` — or a ready
+        :class:`~repro.streaming.backends.StreamBackend` instance (how
+        :mod:`repro.replay` injects its trace-driven backend).
     slice_budget:
-        Scoring calls per shard per slice — the streaming analogue of the
-        round engine's ``sync_interval``; smaller slices mean fresher
+        Scoring calls per shard per slice; smaller slices mean fresher
         thresholds and earlier first results at slightly more merge
         traffic.
     share_threshold:
@@ -258,28 +287,42 @@ class StreamingTopKEngine:
         JSON-safe :class:`~repro.replay.trace.ArrivalTrace` (read it with
         :meth:`trace`), making real thread/process runs replayable
         bit for bit via :mod:`repro.replay`.
-    seed / index_config / engine_config / index_cache / shared_memory:
-        As for the round engine (shard streams derive from the root
-        entropy; the cache shares partition indexes across runs;
-        ``shared_memory`` selects the zero-copy process bootstrap of
-        :mod:`repro.parallel.shm` — ``None`` auto-enables where POSIX
-        shm works, answers bit-identical either way).
+    seed:
+        Root seed; shards get independent derived streams regardless of
+        the backend (the root entropy travels to child processes, not
+        live generators).
+    index_config / engine_config:
+        Per-partition index configuration (cluster count clamped per
+        shard) and per-shard engine settings (``k`` is forced to the
+        query's k so the merge is lossless).
+    index_cache:
+        Optional :class:`~repro.parallel.cache.ShardIndexCache` shared
+        across runs on the same dataset: a hit reuses the cached
+        partitions and per-shard indexes bit-identically; a miss harvests
+        them after the build (in-process backends only).
+    ids:
+        Optional candidate subset (``WHERE`` pushdown): only those
+        elements are partitioned, indexed and drawn.
+    shared_memory:
+        Zero-copy shard bootstrap for the process backend
+        (:mod:`repro.parallel.shm`): ``None`` auto-enables where POSIX
+        shm works, ``True`` requires it, ``False`` forces the inline
+        copy.  Answers are bit-identical either way.
     memo / priors:
-        As for the round engine: ``memo`` is a
-        :class:`~repro.memo.store.MemoView` whose frozen per-shard slices
-        ride the specs (fresh scores are recorded back at slice-merge
-        time, process children stay read-only); ``priors`` is one
-        warm-start payload per shard (:mod:`repro.memo.priors`), applied
-        to fresh engines only.  Memo hits charge full batch cost, so the
-        serial backend's arrival order — keyed on virtual completion — is
-        unchanged and warm runs stay bit-identical.
+        ``memo`` is a :class:`~repro.memo.store.MemoView` whose frozen
+        per-shard slices ride the specs (fresh scores are recorded back
+        at merge time, process children stay read-only); ``priors`` is
+        one warm-start payload per shard (:mod:`repro.memo.priors`),
+        applied to fresh engines only.  Memo hits charge full batch cost,
+        so the serial backend's arrival order — keyed on virtual
+        completion — is unchanged and warm runs stay bit-identical.
     trace:
         Optional :class:`~repro.obs.spans.TraceContext` (distinct from
         ``record``'s replayable :class:`~repro.replay.trace.ArrivalTrace`).
-        When given, each drive opens a ``drive[d]`` span and every
-        arriving slice's ``shard[j].slice[s]`` fragment is stitched under
-        it at merge time, annotated with its observed threshold
-        staleness.  ``None`` (the default) keeps the event loop untouched.
+        When given, each drive opens a ``drive[d]`` span (each barrier
+        round a ``round[i]`` span) and every arriving slice's fragment is
+        stitched under it at merge time.  ``None`` (the default) keeps
+        the event loop untouched.
     gate:
         Optional :class:`~repro.service.budget.QueryGrant`-shaped budget
         gate (``acquire(n) -> int`` / ``refund(n)``).  Each slice cap is
@@ -296,6 +339,13 @@ class StreamingTopKEngine:
         every spec and snapshot payload, and is asserted against each
         arriving :class:`~repro.parallel.worker.RoundOutcome`.
     """
+
+    #: Barrier schedule: submit nothing while a round is in flight, merge
+    #: the round in worker order, settle once per barrier.
+    barrier: ClassVar[bool] = False
+    #: ``engine`` label of the UDF-call / memo-hit metrics.
+    engine_label: ClassVar[str] = "streaming"
+    snapshot_format: ClassVar[str] = "repro-streaming-snapshot/1"
 
     def __init__(self, dataset: Dataset, scorer: Scorer, k: int,
                  n_workers: int = 4,
@@ -330,8 +380,6 @@ class StreamingTopKEngine:
             raise ConfigurationError(
                 f"stable_slices must be positive, got {stable_slices!r}"
             )
-        # ids restricts execution to a candidate subset (WHERE pushdown):
-        # only those elements are partitioned, indexed, and drawn.
         self._ids: Optional[List[str]] = (
             list(ids) if ids is not None else None
         )
@@ -362,6 +410,7 @@ class StreamingTopKEngine:
         self._gate = gate
         self._table_version = int(table_version)
         self._drive_count = 0
+        self._round_open = False
         self._submit_merges: Dict[int, int] = {}
         self.backend: StreamBackend = (
             backend if isinstance(backend, StreamBackend)
@@ -381,9 +430,13 @@ class StreamingTopKEngine:
         self.wall_time = 0.0
         self.total_scored = 0
         self.n_merges = 0
+        self.n_rounds = 0
         self.time_to_first_result: Optional[float] = None
         self.converged = False
+        #: (wall_time, budget_spent, stk) per merge — the anytime curve.
         self.progressive: List[Tuple[float, int, float]] = []
+        #: (wall_time, stk) per barrier round.
+        self.checkpoints: List[Tuple[float, float]] = []
         self._worker_times: List[float] = [0.0] * self.n_workers
         self._active: List[bool] = [True] * self.n_workers
         self._floor: Optional[float] = None
@@ -403,7 +456,7 @@ class StreamingTopKEngine:
 
     # -- lifecycle -----------------------------------------------------------
 
-    def __enter__(self) -> "StreamingTopKEngine":
+    def __enter__(self):
         return self
 
     def __exit__(self, *_exc) -> None:
@@ -423,12 +476,15 @@ class StreamingTopKEngine:
     # -- setup ---------------------------------------------------------------
 
     def start(self) -> None:
-        """Bootstrap every shard eagerly (drives otherwise do it lazily)."""
+        """Bootstrap every shard eagerly (drives otherwise do it lazily).
+
+        Exposed so callers (and ``benchmarks/bench_shm.py``) can time the
+        bootstrap — spec assembly plus backend start — separately from
+        query execution.
+        """
         self._ensure_started()
 
-    def _ensure_started(self) -> None:
-        if self._started:
-            return
+    def _build_specs(self) -> List[ShardSpec]:
         (self._partitions, specs, self._cache_hit,
          self._shm_table) = build_shard_specs(
             self.dataset, self.scorer,
@@ -448,6 +504,12 @@ class StreamingTopKEngine:
             trace=self._trace is not None,
             table_version=self._table_version,
         )
+        return specs
+
+    def _ensure_started(self) -> None:
+        if self._started:
+            return
+        specs = self._build_specs()
         try:
             self.backend.start(specs, self.dataset, self.scorer,
                                worker_times=list(self._worker_times))
@@ -474,12 +536,13 @@ class StreamingTopKEngine:
     def _refill(self, total_budget: int) -> None:
         """Submit slices to every idle active shard the budget can cover.
 
-        Called at drive start and after every merge, so budget freed by a
-        shard that exhausted mid-slice is re-offered to *all* idle shards,
-        not just the one that arrived.  When the unreserved budget cannot
-        fund a full slice per idle shard, it is dealt fairly (each shard
-        gets its share of what remains) instead of front-loading the
-        lowest worker ids.
+        Called at drive start and after every merge (on the barrier
+        schedule: after every round), so budget freed by a shard that
+        exhausted mid-slice is re-offered to *all* idle shards, not just
+        the one that arrived.  When the unreserved budget cannot fund a
+        full slice per idle shard, it is dealt fairly (each shard gets
+        its share of what remains) instead of front-loading the lowest
+        worker ids.
         """
         idle = [worker for worker in range(self.n_workers)
                 if self._active[worker] and worker not in self._inflight]
@@ -495,6 +558,8 @@ class StreamingTopKEngine:
             # down), never shrinks a cap — that would perturb the run.
             if self._gate is not None and not _fully_funded(self._gate, cap):
                 return
+            if self.barrier and not self._inflight:
+                self._open_round()
             floor = self._floor if self.share_threshold else None
             if self._recorder is not None:
                 self._recorder.submit(worker, cap, floor)
@@ -503,12 +568,22 @@ class StreamingTopKEngine:
             self._submit_merges[worker] = self.n_merges
             self._reserved += cap
 
+    def _open_round(self) -> None:
+        self.n_rounds += 1
+        if self._trace is not None:
+            self._trace.push(f"round[{self.n_rounds - 1}]")
+            self._round_open = True
+
+    def _close_round_span(self) -> None:
+        if self._round_open:
+            self._trace.pop()        # round[i]
+            self._round_open = False
+
     def _topk_signature(self) -> Tuple[int, frozenset]:
         return len(self._buffer), frozenset(self._buffer.payloads())
 
-    def _absorb(self, event: SliceEvent) -> None:
-        """Merge one arrived slice into the global state."""
-        outcome = event.outcome
+    def _absorb(self, outcome: RoundOutcome) -> int:
+        """Merge one arrived slice; return its threshold staleness."""
         worker = outcome.worker_id
         if outcome.table_version != self._table_version:
             raise ConfigurationError(
@@ -527,18 +602,33 @@ class StreamingTopKEngine:
         self._active[worker] = not outcome.exhausted
         self._last_outcomes[worker] = outcome
         if self._memo is not None:
-            # Coordinator-side write-back at the slice boundary: shards
-            # read their frozen memo slice, fresh scores land here in
-            # arrival order (process children stay read-only).
+            # Coordinator-side write-back: shards read their frozen memo
+            # slice, fresh scores land here in merge order (process
+            # children stay read-only).
             if outcome.fresh_scores:
                 self._memo.record_pairs(outcome.fresh_scores)
             self._memo.count(outcome.memo_hits, len(outcome.fresh_scores))
-        before = self._topk_signature()
         merge_worker_topk(self._buffer, self._merged_ids, outcome.topk)
         self.n_merges += 1
+        self._bound.update(worker, outcome.tail)
+        fresh = outcome.scored - outcome.memo_hits
+        if self._gate is not None and cap > fresh:
+            # The slice reserved its full cap at submission; give back
+            # what never became a real UDF call (memo hits, exhaustion).
+            self._gate.refund(cap - fresh)
+        backend = self.backend.name
+        if fresh:
+            UDF_CALLS_TOTAL.inc(fresh, engine=self.engine_label,
+                                backend=backend)
+        if outcome.memo_hits:
+            MEMO_HITS_TOTAL.inc(outcome.memo_hits, engine=self.engine_label,
+                                backend=backend)
+        return staleness
+
+    def _settle(self, virtual_completion: Optional[float]) -> None:
+        """Advance the clock, floor and bound after a merge or a barrier."""
         if self.backend.virtual_clock:
-            self.wall_time = max(self.wall_time,
-                                 event.virtual_completion or 0.0)
+            self.wall_time = max(self.wall_time, virtual_completion or 0.0)
         else:
             assert self._drive_started is not None
             self.wall_time = self._wall_base + (
@@ -548,35 +638,33 @@ class StreamingTopKEngine:
             self.time_to_first_result = self.wall_time
         if self.share_threshold and self._buffer.threshold is not None:
             self._floor = self._buffer.threshold
-        if self._topk_signature() == before:
-            self._stable_count[worker] += 1
-        else:
-            self._stable_count = [0] * self.n_workers
-        self._bound.update(worker, outcome.tail)
         self._bound.refresh(
             self._buffer.threshold,
             len(self._buffer) >= self.k,
             max(0, self._last_total - self.total_scored),
         )
-        if self._recorder is not None:
-            self._recorder.arrival(worker, outcome.scored, self.wall_time,
-                                   cost=outcome.cost)
         self.progressive.append(
             (self.wall_time, self.total_scored, self._buffer.stk)
         )
-        backend = self.backend.name
-        SLICES_TOTAL.inc(backend=backend)
-        THRESHOLD_STALENESS.observe(staleness, backend=backend)
-        fresh = outcome.scored - outcome.memo_hits
-        if self._gate is not None and cap > fresh:
-            # The slice reserved its full cap at submission; give back
-            # what never became a real UDF call (memo hits, exhaustion).
-            self._gate.refund(cap - fresh)
-        if fresh:
-            UDF_CALLS_TOTAL.inc(fresh, engine="streaming", backend=backend)
-        if outcome.memo_hits:
-            MEMO_HITS_TOTAL.inc(outcome.memo_hits, engine="streaming",
-                                backend=backend)
+
+    def _merge_slice(self, event: SliceEvent) -> None:
+        """Barrier-free step: merge the next arrival on its own."""
+        outcome = event.outcome
+        worker = outcome.worker_id
+        before = (self._topk_signature() if self.stable_slices is not None
+                  else None)
+        staleness = self._absorb(outcome)
+        self._settle(event.virtual_completion)
+        if before is not None:
+            if self._topk_signature() == before:
+                self._stable_count[worker] += 1
+            else:
+                self._stable_count = [0] * self.n_workers
+        if self._recorder is not None:
+            self._recorder.arrival(worker, outcome.scored, self.wall_time,
+                                   cost=outcome.cost)
+        SLICES_TOTAL.inc(backend=self.backend.name)
+        THRESHOLD_STALENESS.observe(staleness, backend=self.backend.name)
         if self._trace is not None and outcome.span is not None:
             span = self._trace.attach(outcome.span)
             span.attrs.update(
@@ -584,6 +672,36 @@ class StreamingTopKEngine:
                 threshold=self._buffer.threshold,
                 bound=self._bound.exhaustive_bound,
             )
+
+    def _merge_round(self) -> None:
+        """Barrier step: wait for the whole round, merge it in worker order."""
+        outcomes = sorted(
+            (self.backend.next_event().outcome
+             for _ in range(len(self._inflight))),
+            key=lambda outcome: outcome.worker_id,
+        )
+        for outcome in outcomes:
+            self._absorb(outcome)
+        # The virtual clock advances by the round's slowest shard.
+        self._settle(self.wall_time + max(o.cost for o in outcomes))
+        self.checkpoints.append((self.wall_time, self._buffer.stk))
+        ROUNDS_TOTAL.inc(backend=self.backend.name)
+        if self._trace is not None:
+            for outcome in outcomes:
+                if outcome.span is not None:
+                    self._trace.attach(outcome.span,
+                                       rename=f"shard[{outcome.worker_id}]")
+            if self._round_open:
+                self._trace.annotate(threshold=self._buffer.threshold,
+                                     bound=self._bound.exhaustive_bound,
+                                     total_scored=self.total_scored)
+                self._close_round_span()
+
+    def _merge_next(self) -> None:
+        if self.barrier:
+            self._merge_round()
+        else:
+            self._merge_slice(self.backend.next_event())
 
     def _is_stable(self) -> bool:
         """Early-stop rule: every active shard quiet for ``stable_slices``."""
@@ -618,8 +736,7 @@ class StreamingTopKEngine:
 
     def _progressive(self, converged: bool) -> ProgressiveResult:
         return ProgressiveResult(
-            top_k=[(element_id, score)
-                   for score, element_id in self._buffer.items()],
+            top_k=self._items(),
             budget_spent=self.total_scored,
             threshold=self._buffer.threshold,
             converged=converged,
@@ -640,13 +757,15 @@ class StreamingTopKEngine:
                      ) -> Iterator[ProgressiveResult]:
         """Drive the pipeline, yielding anytime snapshots as merges land.
 
-        ``budget`` is cumulative total scoring calls across drives (like
-        the round engine's ``run``); ``every`` throttles snapshots to one
-        per that many newly scored elements (default: one per slice, i.e.
-        roughly every merge).  The final snapshot is always yielded and
-        carries the drive's ``converged`` verdict.  Abandoning the
-        generator mid-drive leaves slices in flight; they are drained on
-        the next drive or :meth:`snapshot` call.
+        ``budget`` is cumulative total scoring calls across drives: after
+        a partial drive (or a snapshot/restore), a larger budget
+        continues from the merged state already reached.  ``every``
+        throttles snapshots to one per that many newly scored elements
+        (default: one per slice, i.e. roughly every merge).  The final
+        snapshot is always yielded and carries the drive's ``converged``
+        verdict.  Abandoning the generator mid-drive closes its spans and
+        leaves slices in flight; they are drained on the next drive or
+        :meth:`snapshot` call.
         """
         self._ensure_started()
         total = (self._population if budget is None
@@ -656,71 +775,81 @@ class StreamingTopKEngine:
         self._bound.begin_drive()
         if self._recorder is not None:
             self._recorder.begin_drive(total, every)
-        if self._trace is not None:
+        drive_span = None
+        if self._trace is not None and not self.barrier:
             drive_span = self._trace.push(f"drive[{self._drive_count}]",
                                           budget=total)
             self._drive_count += 1
         self._begin_drive()
-        self._refill(total)
-        last_yield = self.total_scored
-        stopping = False
-        while self._inflight:
-            event = self.backend.next_event()
-            self._absorb(event)
-            if not stopping and (self._is_stable() or self._is_confident()):
-                stopping = True  # early stop: drain, no resubmissions
-            if not stopping:
-                self._refill(total)
-            if (self._inflight
-                    and self.total_scored - last_yield >= step):
-                yield self._progressive(converged=False)
-                last_yield = self.total_scored
-        self.converged = stopping or self._is_finished(total)
-        if self._trace is not None:
-            drive_span.attrs.update(
-                threshold=self._buffer.threshold,
-                bound=self._bound.exhaustive_bound,
-                total_scored=self.total_scored,
-                merges=self.n_merges,
-            )
-            self._trace.pop()        # drive[d]
+        try:
+            self._refill(total)
+            last_yield = self.total_scored
+            stopping = False
+            while self._inflight:
+                self._merge_next()
+                if not stopping and (self._is_stable()
+                                     or self._is_confident()):
+                    stopping = True  # early stop: drain, no resubmissions
+                if not stopping:
+                    self._refill(total)
+                if (self._inflight
+                        and self.total_scored - last_yield >= step):
+                    yield self._progressive(converged=False)
+                    last_yield = self.total_scored
+            self.converged = stopping or self._is_finished(total)
+        finally:
+            # Also on an abandoned or failed drive: no span stays open.
+            if self._trace is not None:
+                self._close_round_span()
+            if drive_span is not None:
+                drive_span.attrs.update(
+                    threshold=self._buffer.threshold,
+                    bound=self._bound.exhaustive_bound,
+                    total_scored=self.total_scored,
+                    merges=self.n_merges,
+                )
+                self._trace.pop()        # drive[d]
         yield self._progressive(converged=self.converged)
 
     def run(self, budget: Optional[int] = None,
-            every: Optional[int] = None) -> StreamingResult:
-        """Drive to completion and return the final result with its trace."""
+            every: Optional[int] = None):
+        """Drive to completion and return the final result."""
         for _snapshot in self.results_iter(budget, every=every):
             pass
         return self.result()
 
-    def result(self) -> StreamingResult:
-        """Assemble the merged answer and anytime trace reached so far."""
-        workers = []
+    def _items(self) -> List[Tuple[str, float]]:
+        return [(element_id, score)
+                for score, element_id in self._buffer.items()]
+
+    def _worker_reports(self) -> List[WorkerReport]:
+        reports = []
         for worker in range(self.n_workers):
             outcome = self._last_outcomes[worker]
-            n_members = (len(self._partitions[worker])
-                         if self._partitions else 0)
-            workers.append(WorkerReport(
+            reports.append(WorkerReport(
                 worker_id=worker,
-                n_elements=n_members,
+                n_elements=(len(self._partitions[worker])
+                            if self._partitions else 0),
                 n_scored=outcome.n_scored_total if outcome else 0,
                 virtual_time=self._worker_times[worker],
                 local_stk=outcome.local_stk if outcome else 0.0,
                 fallback_events=tuple(outcome.fallback_events)
                 if outcome else (),
             ))
-        items = [(element_id, score)
-                 for score, element_id in self._buffer.items()]
+        return reports
+
+    def result(self) -> StreamingResult:
+        """Assemble the merged answer and anytime trace reached so far."""
         return StreamingResult(
             k=self.k,
-            items=items,
+            items=self._items(),
             stk=self._buffer.stk,
             wall_time=self.wall_time,
             total_scored=self.total_scored,
             n_merges=self.n_merges,
             time_to_first_result=self.time_to_first_result,
             converged=self.converged,
-            workers=workers,
+            workers=self._worker_reports(),
             progressive=list(self.progressive),
             backend=self.backend.name,
             displacement_bound=self._bound.drive_bound,
@@ -765,27 +894,41 @@ class StreamingTopKEngine:
         if self._drive_started is None:
             self._begin_drive()
         while self._inflight:
-            self._absorb(self.backend.next_event())
+            self._merge_next()
+
+    def _schedule_config(self) -> dict:
+        """The schedule settings a snapshot must carry to be restored."""
+        return {"slice_budget": self.slice_budget,
+                "stable_slices": self.stable_slices,
+                "confidence": self.confidence}
+
+    @classmethod
+    def _schedule_kwargs(cls, snapshot: dict) -> dict:
+        """Constructor arguments for :meth:`_schedule_config` output."""
+        stable = snapshot.get("stable_slices")
+        confidence = snapshot.get("confidence")
+        return {"slice_budget": int(snapshot["slice_budget"]),
+                "stable_slices": None if stable is None else int(stable),
+                "confidence": (None if confidence is None
+                               else float(confidence))}
 
     def snapshot(self) -> dict:
-        """Capture the full streaming run: coordinator + shard engines.
+        """Capture the full run: coordinator state + shard engines.
 
         In-flight slices are drained first (shards snapshot at slice
         boundaries, where no batch is pending).  The payload nests one
         :func:`repro.core.snapshot.snapshot_engine` dict per shard; RNG
-        state is *not* captured, so a resumed run is a valid streaming
-        execution but not bit-identical to the uninterrupted one.
+        state is *not* captured, so a resumed run is a valid execution
+        but not bit-identical to the uninterrupted one.
         """
         self._ensure_started()
         self._drain()
         return {
-            "format": _SNAPSHOT_FORMAT,
+            "format": self.snapshot_format,
             "k": self.k,
             "n_workers": self.n_workers,
-            "slice_budget": self.slice_budget,
+            **self._schedule_config(),
             "share_threshold": self.share_threshold,
-            "stable_slices": self.stable_slices,
-            "confidence": self.confidence,
             "backend": self.backend.name,
             "root_entropy": self._root_entropy,
             "resume_count": self._resume_count,
@@ -798,8 +941,10 @@ class StreamingTopKEngine:
                 "wall_time": self.wall_time,
                 "total_scored": self.total_scored,
                 "n_merges": self.n_merges,
+                "n_rounds": self.n_rounds,
                 "time_to_first_result": self.time_to_first_result,
                 "progressive": [list(point) for point in self.progressive],
+                "checkpoints": [list(point) for point in self.checkpoints],
                 "worker_times": list(self._worker_times),
                 "active": list(self._active),
                 "pending_floor": self._floor,
@@ -826,28 +971,28 @@ class StreamingTopKEngine:
                 engine_config: Optional[EngineConfig] = None,
                 index_cache: Optional[ShardIndexCache] = None,
                 memo=None,
-                table_version: int = 0,
-                ) -> "StreamingTopKEngine":
-        """Rebuild a streaming run from :meth:`snapshot` output.
+                table_version: int = 0):
+        """Rebuild a run from :meth:`snapshot` output.
 
-        Same contract as the round engine's restore: the dataset must be
-        the same immutable dataset, ``index_config`` / ``engine_config``
-        must repeat the original run's, and ``backend`` may differ — a run
-        paused under ``thread`` can resume under ``serial`` or ``process``
-        and vice versa.  ``memo`` optionally re-attaches a live
-        :class:`~repro.memo.store.MemoView`; the snapshot's stored memo
-        slice is merged into it (or revived standalone) so the resumed
-        run stays warm.
+        ``dataset`` must be the same dataset, and ``index_config`` /
+        ``engine_config`` must repeat whatever the original run used
+        (shard indexes are rebuilt deterministically from the stored root
+        entropy, and node IDs are verified during engine restore).
+        ``backend`` may differ — a run paused under ``thread`` can resume
+        under ``serial`` or ``process`` and vice versa.  ``memo``
+        optionally re-attaches a live :class:`~repro.memo.store.MemoView`;
+        the snapshot's stored memo slice is merged into it (or revived
+        standalone) so the resumed run stays warm.
 
         ``table_version`` must repeat the live-table version the run was
         snapshotted against (0 for immutable datasets); a snapshot taken
         before a committed write is rejected rather than silently
         resumed against different rows.
         """
-        if snapshot.get("format") != _SNAPSHOT_FORMAT:
+        if snapshot.get("format") != cls.snapshot_format:
             raise SerializationError(
-                f"unrecognized streaming snapshot format "
-                f"{snapshot.get('format')!r}"
+                f"unrecognized snapshot format {snapshot.get('format')!r}, "
+                f"expected {cls.snapshot_format!r}"
             )
         stored_version = int(snapshot.get("table_version", 0))
         if stored_version != int(table_version):
@@ -855,8 +1000,6 @@ class StreamingTopKEngine:
                 f"snapshot was taken at table version {stored_version}, "
                 f"cannot restore against version {int(table_version)}"
             )
-        stable = snapshot.get("stable_slices")
-        confidence = snapshot.get("confidence")
         subset = snapshot.get("ids")
         engine = cls(
             dataset, scorer, k=int(snapshot["k"]),
@@ -864,14 +1007,12 @@ class StreamingTopKEngine:
             backend=backend or snapshot["backend"],
             index_config=index_config,
             engine_config=engine_config,
-            slice_budget=int(snapshot["slice_budget"]),
             share_threshold=bool(snapshot["share_threshold"]),
-            stable_slices=None if stable is None else int(stable),
-            confidence=None if confidence is None else float(confidence),
             seed=None,
             index_cache=index_cache,
             ids=None if subset is None else [str(i) for i in subset],
             table_version=stored_version,
+            **cls._schedule_kwargs(snapshot),
         )
         # Re-anchor the RNG streams to the original run's root entropy so
         # partitions and shard indexes rebuild identically.
@@ -894,11 +1035,14 @@ class StreamingTopKEngine:
         engine._merged_ids = set(state["merged_ids"])
         engine.wall_time = float(state["wall_time"])
         engine.total_scored = int(state["total_scored"])
-        engine.n_merges = int(state["n_merges"])
+        engine.n_merges = int(state.get("n_merges", 0))
+        engine.n_rounds = int(state.get("n_rounds", 0))
         ttfr = state.get("time_to_first_result")
         engine.time_to_first_result = None if ttfr is None else float(ttfr)
         engine.progressive = [tuple(point)
                               for point in state.get("progressive", [])]
+        engine.checkpoints = [tuple(point)
+                              for point in state.get("checkpoints", [])]
         engine._worker_times = [float(t) for t in state["worker_times"]]
         engine._active = [bool(flag) for flag in state["active"]]
         # The exhaustive certificate survives the pause (it only ever

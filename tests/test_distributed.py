@@ -1,4 +1,7 @@
-"""Tests for the simulated distributed executor (Section 6 combination)."""
+"""Tests for the serial sharded simulation (Section 6 combination).
+
+Every run builds a fresh :class:`ShardedTopKEngine` on the ``serial``
+backend (deterministic, virtual wall clock)."""
 
 from __future__ import annotations
 
@@ -7,10 +10,10 @@ import pytest
 
 from repro.core.engine import EngineConfig, TopKEngine
 from repro.data.synthetic import SyntheticClustersDataset
-from repro.distributed import DistributedTopKExecutor
 from repro.errors import ConfigurationError
 from repro.experiments.ground_truth import compute_ground_truth
 from repro.index.builder import IndexConfig
+from repro.parallel import ShardedTopKEngine
 from repro.scoring.base import FixedPerCallLatency
 from repro.scoring.relu import ReluScorer
 
@@ -24,41 +27,49 @@ def world():
     return dataset, scorer, truth
 
 
+def serial_engine(dataset, scorer, **kw) -> ShardedTopKEngine:
+    return ShardedTopKEngine(dataset, scorer, backend="serial", **kw)
+
+
+def run_serial(dataset, scorer, budget=None, **kw):
+    """One run on a fresh serial engine."""
+    with serial_engine(dataset, scorer, **kw) as engine:
+        return engine.run(budget)
+
+
 class TestValidation:
     def test_invalid_workers(self, world):
         dataset, scorer, _ = world
         with pytest.raises(ConfigurationError):
-            DistributedTopKExecutor(dataset, scorer, k=5, n_workers=0)
+            serial_engine(dataset, scorer, k=5, n_workers=0)
 
     def test_invalid_sync(self, world):
         dataset, scorer, _ = world
         with pytest.raises(ConfigurationError):
-            DistributedTopKExecutor(dataset, scorer, k=5, sync_interval=0)
+            serial_engine(dataset, scorer, k=5, sync_interval=0)
 
     def test_more_workers_than_elements(self):
         dataset = SyntheticClustersDataset.generate(n_clusters=1,
                                                     per_cluster=3, rng=0)
         with pytest.raises(ConfigurationError):
-            DistributedTopKExecutor(dataset, ReluScorer(), k=1, n_workers=10)
+            serial_engine(dataset, ReluScorer(), k=1, n_workers=10)
 
 
 class TestExecution:
     def test_exhaustive_run_is_exact(self, world):
         dataset, scorer, truth = world
-        executor = DistributedTopKExecutor(
-            dataset, scorer, k=20, n_workers=4,
-            index_config=IndexConfig(n_clusters=4), seed=0,
-        )
-        result = executor.run()
+        result = run_serial(dataset, scorer, k=20, n_workers=4,
+                            index_config=IndexConfig(n_clusters=4), seed=0)
         assert result.total_scored == len(dataset)
         assert result.stk == pytest.approx(truth.optimal_stk(20), rel=1e-9)
         assert len(result.items) == 20
 
     def test_partitions_cover_dataset(self, world):
         dataset, scorer, _ = world
-        executor = DistributedTopKExecutor(dataset, scorer, k=5,
-                                           n_workers=3, seed=1)
-        partitions = executor._partitions()
+        with serial_engine(dataset, scorer, k=5, n_workers=3,
+                           seed=1) as engine:
+            engine.start()
+            partitions = engine._partitions
         union = sorted(eid for part in partitions for eid in part)
         assert union == sorted(dataset.ids())
         sizes = [len(part) for part in partitions]
@@ -66,17 +77,15 @@ class TestExecution:
 
     def test_budget_respected(self, world):
         dataset, scorer, _ = world
-        executor = DistributedTopKExecutor(dataset, scorer, k=10,
-                                           n_workers=4, seed=0)
-        result = executor.run(budget=400)
+        result = run_serial(dataset, scorer, budget=400, k=10, n_workers=4,
+                            seed=0)
         assert result.total_scored <= 400 + 4  # batch-overshoot slack
 
     def test_wall_time_is_parallel(self, world):
         """W workers at 1 ms/score: wall time ~ total/W, not total."""
         dataset, scorer, _ = world
-        executor = DistributedTopKExecutor(dataset, scorer, k=10,
-                                           n_workers=4, seed=0)
-        result = executor.run(budget=1200)
+        result = run_serial(dataset, scorer, budget=1200, k=10,
+                            n_workers=4, seed=0)
         sequential = result.total_scored * 1e-3
         assert result.wall_time < 0.5 * sequential
         assert result.wall_time >= sequential / 4 - 1e-9
@@ -87,11 +96,8 @@ class TestExecution:
         dataset, scorer, truth = world
 
         def exhaustive(n_workers):
-            executor = DistributedTopKExecutor(
-                dataset, scorer, k=20, n_workers=n_workers,
-                sync_interval=50, seed=3,
-            )
-            return executor.run(budget=len(dataset))
+            return run_serial(dataset, scorer, budget=len(dataset), k=20,
+                              n_workers=n_workers, sync_interval=50, seed=3)
 
         one = exhaustive(1)
         four = exhaustive(4)
@@ -101,9 +107,8 @@ class TestExecution:
 
     def test_checkpoints_monotone(self, world):
         dataset, scorer, _ = world
-        executor = DistributedTopKExecutor(dataset, scorer, k=10,
-                                           n_workers=2, seed=0)
-        result = executor.run(budget=600)
+        result = run_serial(dataset, scorer, budget=600, k=10, n_workers=2,
+                            seed=0)
         stks = [stk for _t, stk in result.checkpoints]
         times = [t for t, _s in result.checkpoints]
         assert all(a <= b + 1e-9 for a, b in zip(stks, stks[1:]))
@@ -111,29 +116,24 @@ class TestExecution:
 
     def test_worker_reports(self, world):
         dataset, scorer, _ = world
-        executor = DistributedTopKExecutor(dataset, scorer, k=10,
-                                           n_workers=3, seed=0)
-        result = executor.run(budget=300)
+        result = run_serial(dataset, scorer, budget=300, k=10, n_workers=3,
+                            seed=0)
         assert len(result.workers) == 3
         assert sum(w.n_scored for w in result.workers) == result.total_scored
         assert "workers" in result.summary()
 
     def test_threshold_broadcast_sets_floor(self, world):
         dataset, scorer, _ = world
-        executor = DistributedTopKExecutor(dataset, scorer, k=5,
-                                           n_workers=2, sync_interval=50,
-                                           share_threshold=True, seed=0)
-        # Run a few rounds manually via run(); floors should be set after.
-        executor_result = executor.run(budget=300)
-        assert executor_result.n_rounds >= 2
+        result = run_serial(dataset, scorer, budget=300, k=5, n_workers=2,
+                            sync_interval=50, share_threshold=True, seed=0)
+        assert result.n_rounds >= 2
 
     def test_deterministic_under_seed(self, world):
         dataset, scorer, _ = world
 
         def once():
-            return DistributedTopKExecutor(
-                dataset, scorer, k=10, n_workers=3, seed=9
-            ).run(budget=500).stk
+            return run_serial(dataset, scorer, budget=500, k=10,
+                              n_workers=3, seed=9).stk
 
         assert once() == once()
 

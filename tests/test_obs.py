@@ -361,6 +361,39 @@ class TestTraceDifferential:
         assert names[:2] == ["parse", "plan"]
         assert any(name.startswith("drive[") for name in names)
 
+    def test_abandoned_stream_closes_its_spans(self, dataset):
+        session = build_session(dataset)
+        for snapshot in session.stream(query_text("streaming"),
+                                       workers=WORKERS, backend="serial",
+                                       every=1, trace=True):
+            assert not snapshot.converged
+            break
+        trace = session.last_trace
+        assert trace._stack == []
+        (drive,) = [span for _, span in trace.walk()
+                    if span.name == "drive[0]"]
+        assert drive.wall > 0.0
+
+    def test_abandoned_round_drive_closes_its_spans(self, dataset):
+        from repro.parallel.engine import ShardedTopKEngine
+
+        trace = TraceContext()
+        with ShardedTopKEngine(dataset,
+                               ReluScorer(FixedPerCallLatency(1e-4)),
+                               k=K, n_workers=WORKERS, seed=SEED,
+                               sync_interval=BATCH,
+                               trace=trace) as engine:
+            drive = engine.results_iter(BUDGET, every=1)
+            next(drive)
+            assert [span.name for span in trace._stack] == ["round[1]"]
+            drive.close()
+            assert trace._stack == []
+            result = engine.run(BUDGET)
+        rounds = [span for _, span in trace.walk()
+                  if span.name.startswith("round[")]
+        assert len(rounds) == result.n_rounds
+        assert all(span.wall > 0.0 for span in rounds)
+
 
 # ---------------------------------------------------------------------------
 # EXPLAIN ANALYZE: report + span-tree shape pins (satellite c)

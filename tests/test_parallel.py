@@ -1,32 +1,32 @@
 """Tests for the sharded execution subsystem (repro.parallel).
 
-The serial backend's bit-identity with the historical simulation is pinned
-by ``tests/test_distributed.py`` (the executor now delegates to it); this
-module covers what is new: backend agreement, the coordinator merge's edge
-cases, small partitions, and snapshot/resume of a sharded run.
+The serial simulation itself is pinned by ``tests/test_distributed.py``;
+this module covers backend agreement, the coordinator merge's edge cases,
+small partitions, and snapshot/resume of a sharded run.
 """
 
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
 
+from repro.core.engine import EngineConfig
 from repro.core.minmax_heap import TopKBuffer
 from repro.data.synthetic import SyntheticClustersDataset
-from repro.distributed import DistributedTopKExecutor
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, SerializationError
 from repro.experiments.ground_truth import compute_ground_truth
 from repro.index.builder import IndexConfig
 from repro.parallel import (
     ShardedTopKEngine,
     available_backends,
-    make_backend,
     merge_worker_topk,
     partition_ids,
 )
 from repro.scoring.base import FixedPerCallLatency
 from repro.scoring.relu import ReluScorer
+from repro.streaming import StreamingTopKEngine, make_stream_backend
 
 
 @pytest.fixture(scope="module")
@@ -54,8 +54,8 @@ class TestBackendRegistry:
         assert set(available_backends()) == {"serial", "thread", "process"}
 
     def test_unknown_backend_rejected(self):
-        with pytest.raises(ConfigurationError, match="unknown parallel"):
-            make_backend("gpu")
+        with pytest.raises(ConfigurationError, match="unknown backend"):
+            make_stream_backend("gpu")
 
     def test_unknown_backend_at_engine_construction(self, world):
         dataset, scorer, _ = world
@@ -64,9 +64,29 @@ class TestBackendRegistry:
 
 
 class TestBackendAgreement:
-    """With budget below every partition size, no shard exhausts mid-round,
-    so the concurrent backends' pre-assigned caps equal serial's live
-    allocation and all three backends produce identical answers."""
+    """A round's arrivals are merged in worker order and every backend
+    deals caps by the same rule, so all three backends produce identical
+    answers at any budget — including the end-game rounds where a shard
+    exhausts or the budget cannot fund a full slice per shard."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    @pytest.mark.parametrize("budget", [500, 777, None])
+    def test_backends_agree_at_every_budget(self, world, budget, seed):
+        dataset, scorer, _ = world
+        runs = {
+            backend: run_sharded(dataset, scorer, backend, budget=budget,
+                                 n_workers=2, seed=seed,
+                                 engine_config=EngineConfig(k=10,
+                                                            batch_size=8))
+            for backend in ("serial", "thread", "process")
+        }
+        serial = runs["serial"]
+        for backend, result in runs.items():
+            assert result.backend == backend
+            assert result.items == serial.items, backend
+            assert result.stk == serial.stk, backend
+            assert result.total_scored == serial.total_scored, backend
+            assert result.n_rounds == serial.n_rounds, backend
 
     def test_thread_matches_serial(self, world):
         dataset, scorer, _ = world
@@ -101,31 +121,32 @@ class TestBackendAgreement:
         assert thread.wall_time < 0.3
 
 
-class TestExecutorDelegation:
-    def test_wrapper_is_bit_identical_to_sharded_serial(self, world):
+class TestFreshSerialEngines:
+    def test_fresh_serial_engines_are_bit_identical(self, world):
         dataset, scorer, _ = world
-        executor = DistributedTopKExecutor(dataset, scorer, k=10,
-                                           n_workers=3, seed=5)
-        direct = run_sharded(dataset, scorer, "serial", budget=500, seed=5)
-        via_wrapper = executor.run(budget=500)
-        assert via_wrapper.items == direct.items
-        assert via_wrapper.wall_time == direct.wall_time
-        assert via_wrapper.checkpoints == direct.checkpoints
+        one = run_sharded(dataset, scorer, "serial", budget=500, seed=5)
+        two = run_sharded(dataset, scorer, "serial", budget=500, seed=5)
+        assert one.items == two.items
+        assert one.wall_time == two.wall_time
+        assert one.checkpoints == two.checkpoints
 
-    def test_executor_run_is_fresh_each_call(self, world):
-        """Pre-refactor semantics: every run() is an independent fresh
-        execution, never a cumulative continuation of the previous call."""
+    def test_fresh_engine_ignores_earlier_runs(self, world):
+        """A fresh engine per run is an independent execution; reusing an
+        engine continues cumulatively instead of starting over."""
         dataset, scorer, _ = world
-        executor = DistributedTopKExecutor(dataset, scorer, k=10,
-                                           n_workers=3, seed=7)
-        executor.run(budget=150)
-        second = executor.run(budget=600)
-        fresh = DistributedTopKExecutor(dataset, scorer, k=10,
-                                        n_workers=3, seed=7).run(budget=600)
+        run_sharded(dataset, scorer, "serial", budget=150, seed=7)
+        second = run_sharded(dataset, scorer, "serial", budget=600, seed=7)
+        fresh = run_sharded(dataset, scorer, "serial", budget=600, seed=7)
         assert second.total_scored == fresh.total_scored
         assert second.n_rounds == fresh.n_rounds
         assert second.items == fresh.items
         assert second.wall_time == fresh.wall_time
+        with ShardedTopKEngine(dataset, scorer, k=10, n_workers=3,
+                               seed=7) as engine:
+            engine.run(150)
+            continued = engine.run(600)
+        assert continued.total_scored == fresh.total_scored
+        assert continued.total_scored <= len(dataset)
 
 
 class TestCoordinatorMerge:
@@ -279,10 +300,46 @@ class TestSnapshotResume:
         stks = [stk for _t, stk in final.checkpoints]
         assert all(a <= b + 1e-9 for a, b in zip(stks, stks[1:]))
 
+    def test_round_loop_snapshot_restores_exactly(self):
+        """``data/sharded_snapshot_v1.json`` was written by the round-loop
+        coordinator that preceded the barrier schedule: a serial run over
+        this dataset (k=3, 2 workers, sync interval 2) paused after 4 of
+        8 calls.  It restores, and finishes with the exact answer."""
+        snapshot = json.loads(
+            (Path(__file__).parent / "data" / "sharded_snapshot_v1.json")
+            .read_text())
+        assert snapshot["format"] == "repro-sharded-snapshot/1"
+        dataset = SyntheticClustersDataset.generate(n_clusters=2,
+                                                    per_cluster=4, rng=0)
+        scorer = ReluScorer()
+        truth = compute_ground_truth(dataset, scorer)
+        with ShardedTopKEngine.restore(
+                dataset, scorer, snapshot,
+                index_config=IndexConfig(n_clusters=1),
+                engine_config=EngineConfig(k=3, n_bins=2)) as resumed:
+            assert resumed.total_scored == 4
+            assert resumed.n_rounds == 1
+            final = resumed.run()
+        assert final.total_scored == len(dataset)
+        assert set(final.ids) == truth.topk_ids(3)
+        assert final.stk == pytest.approx(truth.optimal_stk(3), rel=1e-12)
+        assert final.displacement_bound == 0.0
+        assert final.n_rounds > 1
+        assert final.checkpoints[0] == tuple(
+            snapshot["coordinator"]["checkpoints"][0])
+
     def test_bad_format_rejected(self, world):
         dataset, scorer, _ = world
         with pytest.raises(Exception, match="format"):
             ShardedTopKEngine.restore(dataset, scorer, {"format": "nope"})
+        # The barrier-free schedule's snapshots are another format.
+        with StreamingTopKEngine(dataset, scorer, k=10, n_workers=2,
+                                 seed=0) as streaming:
+            streaming.run(100)
+            payload = streaming.snapshot()
+        with pytest.raises(SerializationError,
+                           match="repro-sharded-snapshot/1"):
+            ShardedTopKEngine.restore(dataset, scorer, payload)
 
 
 class TestRoundIndexCache:

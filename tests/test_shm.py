@@ -3,8 +3,8 @@
 Covers the acceptance guarantees of the shared-memory table layer: O(1)
 pickled spec size in the partition size, bit-identity of shm-path and
 copy-path answers, the segment lifecycle (normal close, engine error,
-killed child — no orphan segments anywhere), the idle-round synthesis of
-the process backend, and the probed backend availability registry.
+killed child — no orphan segments anywhere), idle process shards never
+crossing the pipe, and the probed backend availability registry.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from repro.data.synthetic import SyntheticClustersDataset
 from repro.errors import ConfigurationError
 from repro.index.tree import ClusterNode, ClusterTree
 from repro.parallel import (
-    ProcessBackend,
     ShardedTopKEngine,
     backend_availability,
     build_shard_specs,
@@ -295,34 +294,39 @@ class TestFallbackAndOptOut:
         assert all(s.features_ref is None for s in specs)
 
 
-class TestIdleRoundSynthesis:
+class TestIdleShards:
     @needs_shm
     def test_zero_cap_and_inactive_shards_skip_ipc(self):
+        """Only shards the round deals a cap to get a slice down the pipe;
+        a starved or exhausted shard is never submitted to."""
         dataset = make_dataset()
-        _parts, specs, _hit, table = make_specs(
-            dataset, shared_memory=True,
-            scorer=ReluScorer(FixedPerCallLatency(1e-4)),
-        )
-        backend = ProcessBackend()
+        engine = ShardedTopKEngine(
+            dataset, ReluScorer(FixedPerCallLatency(1e-4)), k=5,
+            n_workers=3, seed=0, backend="process", shared_memory=True,
+            sync_interval=50)
+        submitted = []
+        submit = engine.backend.submit
+
+        def recording_submit(worker_id, cap, floor):
+            submitted.append((worker_id, cap))
+            submit(worker_id, cap, floor)
+
+        engine.backend.submit = recording_submit
         try:
-            backend.start(specs, None, None)
-            # Budget covers only worker 0; workers 1-2 get cap 0 with no
-            # prior round: synthesized empty outcomes, in worker order.
-            first = backend.run_round(50, 50, [True, True, True], None)
-            assert [o.worker_id for o in first] == [0, 1, 2]
-            assert first[0].scored > 0
-            assert first[1].scored == 0 and first[1].n_scored_total == 0
-            assert first[2].topk == [] and first[2].tail is None
-            # Worker 0 inactive now: its idle outcome must replay the last
-            # real report (same totals, same running top-k, zero charge).
-            second = backend.run_round(50, 100, [False, True, True], None)
-            assert second[0].scored == 0 and second[0].cost == 0.0
-            assert second[0].n_scored_total == first[0].n_scored_total
-            assert second[0].topk == first[0].topk
-            assert second[1].scored > 0 and second[2].scored > 0
+            # A budget of one call covers only worker 0.
+            first = engine.run(1)
+            assert submitted == [(0, 1)]
+            assert first.n_rounds == 1
+            assert [w.n_scored for w in first.workers] == [1, 0, 0]
+            engine._active[0] = False     # as if worker 0 had exhausted
+            submitted.clear()
+            second = engine.run(101)
+            assert sorted(w for w, _cap in submitted) == [1, 2]
+            assert second.workers[0].n_scored == 1
+            assert second.workers[1].n_scored > 0
+            assert second.workers[2].n_scored > 0
         finally:
-            backend.close()
-            table.close()
+            engine.close()
 
     def test_tiny_budget_run_completes_with_idle_shards(self):
         """End-to-end: a budget smaller than one round per shard still

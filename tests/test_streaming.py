@@ -1,12 +1,12 @@
 """Tests for the barrier-free streaming subsystem (repro.streaming).
 
-Covers: registry parity with repro.parallel, the deterministic serial
-interleave (snapshot-testable merge-on-arrival simulation), agreement of
-the streaming serial answer with the round-based serial engine on a fixed
-seed, the anytime ``results_iter`` API (granularity, monotonicity,
-time-to-first-result, convergence, early stop), real thread/process
-backends, snapshot/resume across backends, and the shard-index cache
-shared with the round engine.
+Covers: the one backend registry, the deterministic serial interleave
+(snapshot-testable merge-on-arrival simulation), agreement of the
+streaming serial answer with the barrier schedule (``ShardedTopKEngine``)
+on a fixed seed, the anytime ``results_iter`` API (granularity,
+monotonicity, time-to-first-result, convergence, early stop), real
+thread/process backends, snapshot/resume across backends, and the
+shard-index cache shared with the barrier schedule.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ from repro.parallel import (
 from repro.scoring.base import FixedPerCallLatency
 from repro.scoring.relu import ReluScorer
 from repro.streaming import (
+    STREAM_BACKENDS,
     ProgressiveResult,
     StreamingTopKEngine,
     available_backends,
@@ -55,15 +56,16 @@ def run_streaming(dataset, scorer, backend, budget, **kw):
 
 
 class TestBackendRegistry:
-    def test_single_vocabulary_with_round_engine(self):
-        """One backend vocabulary across execution modes (no hard-coding)."""
-        assert available_backends() == round_backends()
+    def test_one_registry_for_both_schedules(self):
+        """One backend vocabulary across schedules (no hard-coding)."""
+        assert available_backends is round_backends
+        assert set(available_backends()) <= set(STREAM_BACKENDS)
 
     def test_serial_first(self):
         assert available_backends()[0] == "serial"
 
     def test_unknown_backend_rejected(self):
-        with pytest.raises(ConfigurationError, match="unknown streaming"):
+        with pytest.raises(ConfigurationError, match="unknown backend"):
             make_stream_backend("gpu")
 
     def test_constructor_validation(self, world):

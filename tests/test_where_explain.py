@@ -12,7 +12,7 @@ from repro.index.builder import IndexConfig, build_index
 from repro.index.tree import ClusterTree
 from repro.query import ExecutionPlan, parse
 from repro.scoring.base import CountingScorer, FunctionScorer
-from repro.session import OpaqueQuerySession, parse_query
+from repro.session import OpaqueQuerySession
 
 N_ROWS = 100
 PREDICATE = "feature[1] < 0.3"  # keeps rows with i % 10 in {0, 1, 2}
@@ -409,13 +409,13 @@ class TestReservedRegistryNames:
         session.register_udf("features", FunctionScorer(lambda v: float(v)))
 
 
-class TestParsedQueryShim:
+class TestParsedPlanFlags:
     def test_where_surfaces_as_canonical_text(self):
-        parsed = parse_query(
+        parsed = parse(
             f"SELECT TOP 3 FROM t ORDER BY f WHERE {PREDICATE}"
         )
-        assert parsed.where == "feature[1] < 0.3"
+        assert parsed.where.canonical() == "feature[1] < 0.3"
 
     def test_explain_flag_surfaces(self):
-        assert parse_query("EXPLAIN SELECT TOP 3 FROM t ORDER BY f").explain
-        assert not parse_query("SELECT TOP 3 FROM t ORDER BY f").explain
+        assert parse("EXPLAIN SELECT TOP 3 FROM t ORDER BY f").explain
+        assert not parse("SELECT TOP 3 FROM t ORDER BY f").explain
