@@ -122,7 +122,7 @@ def measure_spec_bytes(dataset: InMemoryDataset, *, shared_memory: bool,
                        seed: int) -> Dict[str, object]:
     """Pickled-spec sizes (and segment size) for one mode, coordinator-side."""
     factory = RngFactory(seed)
-    _parts, specs, _hit, table = build_shard_specs(
+    _parts, specs, table = build_shard_specs(
         dataset, BlockingReluScorer(PER_CALL), n_workers=WORKERS, k=K,
         engine_config=EngineConfig(k=K, batch_size=BATCH_SIZE),
         index_config=IndexConfig(n_clusters=16, subsample=2_000, flat=True),

@@ -21,6 +21,11 @@ from repro.index.kmeans import KMeans
 from repro.index.tree import ClusterNode, ClusterTree
 from repro.utils.rng import SeedLike, as_generator
 
+#: Seed of every task-independent index a session builds: the table tree
+#: and each shard layout (partition plus per-shard trees).  An index
+#: belongs to the table, so no query's ``SEED`` ever reaches it.
+INDEX_SEED = 0
+
 
 @dataclass
 class IndexConfig:

@@ -92,10 +92,13 @@ def single_scope(subset: str = "") -> str:
     return f"single:{subset}"
 
 
-def shard_scope(worker_id: int, n_workers: int, root_entropy: int,
-                subset: str = "") -> str:
-    """Prior scope of one shard: everything that shapes its local tree."""
-    return f"shard:{worker_id}:{n_workers}:{root_entropy}:{subset}"
+def shard_scope(worker_id: int, n_workers: int, subset: str = "") -> str:
+    """Prior scope of one shard: everything that shapes its local tree.
+
+    The shard layout is the table's (one seed for every query), so a
+    query's ``SEED`` is not part of the scope.
+    """
+    return f"shard:{worker_id}:{n_workers}:{subset}"
 
 
 class PriorStore:

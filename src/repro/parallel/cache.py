@@ -1,33 +1,29 @@
-"""Cross-run cache of per-shard partitions and partition indexes.
+"""Cross-run cache of shard layouts: partitions plus per-shard trees.
 
-Sharded (barrier-schedule) and streaming runs over the same table rebuild
-identical per-partition artefacts whenever they share the partitioning
-inputs: partitions are dealt by
-``RngFactory(root_entropy).named("partition")`` and each shard's index is
-built from ``named(f"index:{w}")`` over the partition's features, so both
-are pure functions of ``(root entropy, worker count, index config)`` for a
-fixed immutable dataset.  :class:`ShardIndexCache` memoizes the
-``(partitions, indexes)`` pair under exactly that key, letting a repeat
-query skip the shuffle and every per-shard k-means fit — the ROADMAP's
-"sharded runs rebuild per-partition indexes at start" open item.
+A shard layout is a property of the table, not of a query.  The
+coordinator (:func:`repro.parallel.worker.build_shard_layout`) deals the
+partitions from ``RngFactory(layout_seed).named("partition")`` and builds
+shard ``w``'s tree from ``named(f"index:{w}")`` over that partition's
+features, where the layout seed is the table's
+(:data:`~repro.index.builder.INDEX_SEED`).  So a layout is a pure function
+of ``(layout seed, worker count, index config, candidates, table
+version)``, and :class:`ShardIndexCache` memoizes the ``(partitions,
+trees)`` pair under exactly that key: every query on the same table
+version, worker count and ``WHERE`` subset reuses one layout whatever its
+``SEED``, and skips the shuffle and every per-shard k-means fit.
 
 Sharing rules
 -------------
-* One cache maps to one immutable dataset.  The session layer keeps one
-  cache per registered table; library users who share a cache across
-  engines must do the same.
-* A cache hit is **bit-identical** to a rebuild: named RNG streams are
-  independent per name, so skipping the ``partition`` / ``index:{w}``
-  draws never perturbs the ``engine:{w}`` streams.
-* Indexes are harvested only from backends whose workers live in the
-  coordinator process (``serial``/``thread``); the ``process`` backend's
-  indexes are born in child processes and are never reached into.  A warm
-  cache still *serves* every backend via
-  :attr:`~repro.parallel.worker.ShardSpec.prebuilt_index` (the tree is
-  picklable, so it ships to children instead of being rebuilt there).
-* Entries are LRU-bounded (default 8) because fresh-entropy runs
-  (``seed=None``) can never hit and would otherwise grow the cache without
-  bound.
+* One cache maps to one dataset (the session keeps one per table; live
+  tables key layouts by version and stale versions are evicted).
+* A cache hit is **bit-identical** to a rebuild: the layout draws from
+  its own seed, never from the query's streams, so skipping the build
+  perturbs nothing.
+* Layouts are built only in the coordinator, so every backend fills and
+  hits the cache alike: trees ship to ``process`` children inside their
+  specs (or the shared-memory segment), never built there.
+* Entries are LRU-bounded (default 8): each distinct worker count,
+  ``WHERE`` subset or index config holds its own layout.
 
 The cluster tree is read-only at query time — the bandit mirrors it into
 its own :class:`~repro.core.hierarchical.BanditNode` objects and arms copy
@@ -52,7 +48,7 @@ from typing import List, Optional, Sequence, Tuple
 from repro.index.builder import IndexConfig
 from repro.index.tree import ClusterTree
 
-#: (root_entropy, n_workers, index-config fingerprint, n_elements,
+#: (layout seed, n_workers, index-config fingerprint, n_elements,
 #:  candidate-subset fingerprint — "" when the whole table runs,
 #:  table_version — 0 for immutable datasets)
 CacheKey = Tuple[int, int, str, int, str, int]
@@ -80,24 +76,24 @@ def subset_fingerprint(ids: Optional[Sequence[str]]) -> str:
     return digest.hexdigest()[:16]
 
 
-def shard_cache_key(root_entropy: int, n_workers: int,
+def shard_cache_key(layout_seed: int, n_workers: int,
                     index_config: Optional[IndexConfig],
                     n_elements: int,
                     subset: str = "",
                     table_version: int = 0) -> CacheKey:
-    """The full determinism fingerprint of one sharded index build.
+    """The full determinism fingerprint of one shard layout build.
 
     ``table_version`` keys live-table builds: a committed write changes
     the dataset, so partitions/indexes built at version ``v`` must never
     serve a query pinned at ``v+1`` (and vice versa).  Immutable
     datasets stay at 0.
     """
-    return (int(root_entropy), int(n_workers), repr(index_config),
+    return (int(layout_seed), int(n_workers), repr(index_config),
             int(n_elements), str(subset), int(table_version))
 
 
 class ShardIndexCache:
-    """LRU cache of ``(partitions, shard indexes)`` keyed by build inputs."""
+    """LRU cache of shard layouts ``(partitions, trees)`` by build inputs."""
 
     def __init__(self, maxsize: int = 8) -> None:
         if maxsize <= 0:
@@ -127,7 +123,7 @@ class ShardIndexCache:
 
     def put(self, key: CacheKey, partitions: List[List[str]],
             indexes: List[ClusterTree]) -> None:
-        """Store one build, evicting the least recently used beyond capacity."""
+        """Store one layout, evicting the least recently used past capacity."""
         if len(partitions) != len(indexes):
             raise ValueError(
                 f"{len(partitions)} partitions for {len(indexes)} indexes"

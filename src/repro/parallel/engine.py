@@ -189,7 +189,7 @@ class ShardedTopKEngine(StreamingTopKEngine):
         return DistributedResult(
             k=self.k,
             items=self._items(),
-            stk=self._buffer.stk,
+            stk=self._stk,
             wall_time=self.wall_time,
             total_scored=self.total_scored,
             n_rounds=self.n_rounds,

@@ -18,11 +18,10 @@ Segment layout (one segment per engine run, 64-byte aligned spans):
   (the partition's elements, pickled once by the coordinator; children
   unpickle straight out of the mapping instead of receiving a per-child
   pipe transfer);
-* optionally per shard — a cached
-  :class:`~repro.index.tree.ClusterTree` (a shard-index-cache hit headed
-  to a child): the tree *structure* rides in the ref as nested tuples of
-  O(#leaves) size while its float payload (leaf centroids) and leaf
-  membership (local row indices) live in the segment.
+* per shard, when given — its :class:`~repro.index.tree.ClusterTree`,
+  built once by the coordinator: the node skeleton as a pickled blob,
+  the leaf centroids as one float block and the leaf membership as local
+  row indices, so the ref stays constant-size whatever the tree.
 
 Lifecycle (the invariant: **no orphan segments survive, ever**):
 
@@ -104,17 +103,17 @@ class BytesSpan:
 
 @dataclass(frozen=True)
 class SharedTreeRef:
-    """A cached cluster tree whose float payload lives in the segment.
+    """A shard's cluster tree, packed entirely into the segment.
 
-    ``structure`` is the nested node skeleton —
+    ``structure`` spans the pickled node skeleton —
     ``("node", node_id, (children...))`` internals and
     ``("leaf", node_id, member_start, member_count, centroid_row)``
-    leaves — O(#nodes) small; ``members`` holds every leaf's element
-    positions (indices into the shard's member-id array) concatenated in
-    pre-order, and ``centroids`` the stacked leaf centroids.
+    leaves; ``members`` holds every leaf's element positions (indices
+    into the shard's member-id array) concatenated in pre-order, and
+    ``centroids`` the stacked leaf centroids.
     """
 
-    structure: tuple
+    structure: BytesSpan
     members: ArraySpan
     centroids: Optional[ArraySpan]
 
@@ -271,7 +270,7 @@ class _SegmentLayout:
 
 def _pack_tree(tree: ClusterTree, member_ids: Sequence[str],
                layout: _SegmentLayout) -> SharedTreeRef:
-    """Encode a cached shard index: structure inline, floats in the segment."""
+    """Pack a shard's tree: skeleton blob, members and centroid arrays."""
     position = {element_id: row for row, element_id in enumerate(member_ids)}
     members: List[int] = []
     centroids: List[np.ndarray] = []
@@ -290,7 +289,8 @@ def _pack_tree(tree: ClusterTree, member_ids: Sequence[str],
         return ("node", node.node_id,
                 tuple(encode(child) for child in node.children))
 
-    structure = encode(tree.root)
+    structure = layout.add_bytes(
+        pickle.dumps(encode(tree.root), protocol=pickle.HIGHEST_PROTOCOL))
     members_span = layout.add_array(np.asarray(members, dtype=np.int64))
     centroids_span = (layout.add_array(np.stack(centroids))
                       if centroids else None)
@@ -320,7 +320,9 @@ def _decode_tree(ref: SharedTreeRef, member_ids: Sequence[str],
         return ClusterNode(node_id=str(node_id),
                            children=[decode(child) for child in children])
 
-    return ClusterTree(decode(ref.structure))
+    span = ref.structure
+    return ClusterTree(decode(
+        pickle.loads(bytes(buf[span.offset:span.offset + span.size]))))
 
 
 _OWNED_SEGMENTS: set = set()
@@ -386,7 +388,7 @@ class SharedFeatureTable:
         Each entry of ``shards`` is a dict with ``member_ids`` (list of
         str), ``objects`` (the partition's elements, any picklable
         type), ``features`` (``(n_w, d)`` array) and optional ``tree``
-        (a cached :class:`ClusterTree` for that shard).
+        (that shard's :class:`ClusterTree`).
         """
         layout = _SegmentLayout()
         partial_refs: List[SharedSliceRef] = []

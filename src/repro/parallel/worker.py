@@ -9,13 +9,15 @@ back a light :class:`RoundOutcome`.
 
 Everything a shard needs to bootstrap itself is captured in a *picklable*
 :class:`ShardSpec`, so the same code path runs in-process (serial and thread
-backends) and in a child process (process backend).  Determinism is
-preserved across placements by shipping the coordinator's root RNG entropy
-instead of live generator objects: a shard derives its streams with
-``RngFactory(root_entropy).named(f"index:{w}")`` / ``named(f"engine:{w}")``,
-which are byte-identical to the streams the single-process simulation draws
-from its shared factory (named streams depend only on the root entropy and
-the name — see :class:`~repro.utils.rng.RngFactory`).
+backends) and in a child process (process backend).  The shard *layout* —
+the partition and one tree per shard — belongs to the table: the
+coordinator builds it once (:func:`build_shard_layout`, seeded by
+:data:`~repro.index.builder.INDEX_SEED`, cached per table version) and
+every spec carries its shard's tree, so no worker builds one.  Determinism
+is preserved across placements by shipping the query's root RNG entropy
+instead of live generator objects: a shard derives its bandit stream with
+``RngFactory(root_entropy).named(f"engine:{w}")``, which depends only on
+the root entropy and the name (see :class:`~repro.utils.rng.RngFactory`).
 
 Pause/resume uses the engine snapshot layer
 (:func:`repro.core.snapshot.snapshot_engine` /
@@ -38,9 +40,14 @@ from repro.core.engine import EngineConfig, TopKEngine
 from repro.core.snapshot import restore_engine, snapshot_engine
 from repro.data.dataset import InMemoryDataset
 from repro.errors import ConfigurationError
-from repro.index.builder import IndexConfig, build_index
+from repro.index.builder import INDEX_SEED, IndexConfig, build_index
 from repro.index.tree import ClusterTree
 from repro.obs.spans import Span
+from repro.parallel.cache import (
+    CacheEntry,
+    shard_cache_key,
+    subset_fingerprint,
+)
 from repro.parallel.shm import (
     SharedFeatureTable,
     SharedSliceRef,
@@ -115,19 +122,21 @@ class ShardSpec:
     member_ids: List[str]
     k: int
     engine_config: EngineConfig
-    index_config: Optional[IndexConfig]
-    root_entropy: int
+    root_entropy: int                        # the query's: engine streams
+    #: This shard's tree, built by the coordinator
+    #: (:func:`build_shard_layout`); ``None`` only when it ships through
+    #: the shared-memory segment behind ``features_ref``.
+    index: Optional[ClusterTree] = None
     scorer: Optional[Scorer] = None          # shipped to process workers
     objects: Optional[list] = None           # partition elements, id-aligned
     features: Optional[np.ndarray] = None    # partition features, id-aligned
     engine_snapshot: Optional[dict] = None   # resume payload
     resume_seed: Optional[int] = None
-    prebuilt_index: Optional[ClusterTree] = None  # cache hit: skip the build
     #: Zero-copy alternative to the inline ``objects`` / ``features`` copy:
     #: a constant-size handle into a coordinator-owned shared-memory
     #: segment (:mod:`repro.parallel.shm`).  When set, ``member_ids`` is
-    #: left empty and the child resolves ids, objects, features, and any
-    #: cached index from the mapped segment, keeping the pickled spec O(1)
+    #: left empty and the child resolves ids, objects, features, and the
+    #: tree from the mapped segment, keeping the pickled spec O(1)
     #: in the partition size.
     features_ref: Optional[SharedSliceRef] = None
     #: Frozen cross-query score memo restricted to this shard's members
@@ -188,11 +197,35 @@ class RoundOutcome:
     table_version: int = 0
 
 
+def build_shard_layout(dataset, population: Sequence[str], n_workers: int,
+                       index_config: Optional[IndexConfig],
+                       layout_seed: int) -> CacheEntry:
+    """Partition ``population`` and build every shard's tree.
+
+    The layout belongs to the table, not to a query: the shuffle draws
+    from ``RngFactory(layout_seed).named("partition")`` and shard ``w``'s
+    tree from ``named(f"index:{w}")``.  The seed is
+    :data:`~repro.index.builder.INDEX_SEED`, except for snapshots written
+    before layouts had one (they restore with their root entropy).
+    """
+    factory = RngFactory(layout_seed)
+    partitions = partition_ids(population, n_workers,
+                               factory.named("partition"))
+    trees = [
+        build_index(shard_features(dataset, members), members,
+                    shard_index_config(index_config, len(members)),
+                    rng=factory.named(f"index:{worker}"))
+        for worker, members in enumerate(partitions)
+    ]
+    return partitions, trees
+
+
 def build_shard_specs(dataset, scorer: Scorer, *, n_workers: int, k: int,
                       engine_config: EngineConfig,
                       index_config: Optional[IndexConfig],
                       factory: RngFactory, root_entropy: int,
                       materialize: bool,
+                      layout_seed: int = INDEX_SEED,
                       restore_payloads: Optional[List[dict]] = None,
                       resume_count: int = 0,
                       index_cache=None,
@@ -202,19 +235,21 @@ def build_shard_specs(dataset, scorer: Scorer, *, n_workers: int, k: int,
                       priors: Optional[List[Optional[dict]]] = None,
                       trace: bool = False,
                       table_version: int = 0,
-                      ) -> Tuple[List[List[str]], List[ShardSpec], bool,
+                      ) -> Tuple[List[List[str]], List[ShardSpec],
                                  Optional[SharedFeatureTable]]:
-    """Partition the dataset and assemble one :class:`ShardSpec` per worker.
+    """Fetch or build the shard layout and assemble one spec per worker.
 
     Used by the shard coordinator (:mod:`repro.streaming.engine`) on both
-    schedules, so they produce identical shards from identical inputs.  ``ids`` restricts execution to a
-    candidate subset (the dialect's ``WHERE`` pushdown): only those
-    elements are partitioned, indexed, and ever drawn.  When
+    schedules, so they produce identical shards from identical inputs.
+    ``ids`` restricts execution to a candidate subset (the dialect's
+    ``WHERE`` pushdown): only those elements are partitioned, indexed,
+    and ever drawn.  The layout (:func:`build_shard_layout`) comes from
     ``index_cache`` (a :class:`~repro.parallel.cache.ShardIndexCache`)
-    holds an entry for this build's key — which includes the subset
-    fingerprint — the cached partitions are reused and each spec carries
-    its ``prebuilt_index``, skipping the per-shard k-means fits
-    bit-identically (named RNG streams are independent per name).
+    when it holds one for this table version, worker count, subset and
+    layout seed; otherwise it is built here and stored.  Every spec
+    carries its shard's tree, so no worker ever builds one.  ``factory``
+    / ``root_entropy`` are the query's: they seed only the shards'
+    ``engine:{w}`` and ``resume:*`` streams.
 
     ``shared_memory`` selects the zero-copy bootstrap for materialized
     (process-bound) specs: ``None`` auto-enables when POSIX shared memory
@@ -222,35 +257,27 @@ def build_shard_specs(dataset, scorer: Scorer, *, n_workers: int, k: int,
     globally with ``REPRO_DISABLE_SHM=1``), ``True`` requires it,
     ``False`` forces the inline copy path.  On the shm path each spec
     ships a constant-size ``features_ref`` instead of inline ids /
-    objects / features (and the cached index, on a cache hit, ships its
-    float payload through the same segment); the packed per-shard feature
-    blocks are exactly the arrays :func:`shard_features` produces, so
-    child-side index builds — and therefore answers — are bit-identical
-    to the copy path.  Packing failures fall back to the copy path unless
-    ``shared_memory=True`` demanded it.
+    objects / features / tree, all of which ride the segment.  Packing
+    failures fall back to the copy path unless ``shared_memory=True``
+    demanded it.
 
-    Returns ``(partitions, specs, cache_hit, shm_table)``; ``shm_table``
-    is the coordinator-owned :class:`~repro.parallel.shm.SharedFeatureTable`
+    Returns ``(partitions, specs, shm_table)``; ``shm_table`` is the
+    coordinator-owned :class:`~repro.parallel.shm.SharedFeatureTable`
     (``None`` on the copy path) whose ``close()`` the caller owes once the
     run is over.
     """
-    from repro.parallel.cache import shard_cache_key, subset_fingerprint
-
     population = list(ids) if ids is not None else dataset.ids()
-    cached = None
-    if index_cache is not None:
-        key = shard_cache_key(root_entropy, n_workers, index_config,
-                              len(population),
-                              subset=subset_fingerprint(ids),
-                              table_version=table_version)
-        cached = index_cache.get(key)
-    if cached is not None:
-        partitions, indexes = cached
-        partitions = [list(p) for p in partitions]
-    else:
-        partitions = partition_ids(population, n_workers,
-                                   factory.named("partition"))
-        indexes = [None] * n_workers
+    key = shard_cache_key(layout_seed, n_workers, index_config,
+                          len(population), subset=subset_fingerprint(ids),
+                          table_version=table_version)
+    layout = index_cache.get(key) if index_cache is not None else None
+    if layout is None:
+        layout = build_shard_layout(dataset, population, n_workers,
+                                    index_config, layout_seed)
+        if index_cache is not None:
+            index_cache.put(key, *layout)
+    partitions = [list(p) for p in layout[0]]
+    trees = layout[1]
     use_shm = materialize and (shm_default_enabled()
                                if shared_memory is None
                                else bool(shared_memory))
@@ -262,7 +289,7 @@ def build_shard_specs(dataset, scorer: Scorer, *, n_workers: int, k: int,
                 {"member_ids": list(members),
                  "objects": dataset.fetch_batch(members),
                  "features": shard_features(dataset, members),
-                 "tree": indexes[worker]}
+                 "tree": trees[worker]}
                 for worker, members in enumerate(partitions)
             ])
         except Exception as exc:
@@ -302,45 +329,20 @@ def build_shard_specs(dataset, scorer: Scorer, *, n_workers: int, k: int,
             member_ids=[] if ref is not None else list(members),
             k=k,
             engine_config=engine_config,
-            index_config=index_config,
             root_entropy=root_entropy,
+            index=None if ref is not None else trees[worker],
             scorer=scorer if materialize else None,
             objects=(dataset.fetch_batch(members) if inline else None),
             features=(shard_features(dataset, members) if inline else None),
             engine_snapshot=snapshot,
             resume_seed=resume_seed,
-            prebuilt_index=None if ref is not None else indexes[worker],
             features_ref=ref,
             memo=shard_memo,
             priors=priors[worker] if priors is not None else None,
             trace=trace,
             table_version=int(table_version),
         ))
-    return partitions, specs, cached is not None, table
-
-
-def harvest_shard_indexes(index_cache, *, root_entropy: int,
-                          index_config: Optional[IndexConfig],
-                          n_elements: int,
-                          partitions: List[List[str]],
-                          workers: Optional[List["ShardWorker"]],
-                          subset: str = "",
-                          table_version: int = 0) -> None:
-    """Store freshly built shard indexes from in-process workers.
-
-    No-op when there is no cache, the entry already exists, or the backend
-    keeps its workers out of reach (``process`` children own their
-    indexes).  ``subset`` is the candidate-subset fingerprint of the build
-    (see :func:`repro.parallel.cache.subset_fingerprint`).
-    """
-    from repro.parallel.cache import shard_cache_key
-
-    if index_cache is None or workers is None or not partitions:
-        return
-    key = shard_cache_key(root_entropy, len(partitions), index_config,
-                          n_elements, subset=subset,
-                          table_version=table_version)
-    index_cache.put(key, partitions, [worker.index for worker in workers])
+    return partitions, specs, table
 
 
 class ShardWorker:
@@ -350,50 +352,35 @@ class ShardWorker:
                  scorer: Optional[Scorer] = None) -> None:
         self.spec = spec
         self.worker_id = spec.worker_id
-        resolved = None
         if dataset is None and spec.features_ref is not None:
             # Zero-copy bootstrap: attach the coordinator's segment and
-            # materialize this shard's ids / objects / cached index from
-            # it; the feature block stays a read-only view into the
-            # mapping (never copied into this process).
+            # materialize this shard's ids / objects / tree from it; the
+            # feature block stays a read-only view into the mapping
+            # (never copied into this process).
             resolved = spec.features_ref.resolve()
             self.member_ids = list(resolved.member_ids)
             self.dataset = ShardDataset(resolved.member_ids,
                                         resolved.objects, resolved.features)
+            index = resolved.index
         else:
             self.member_ids = list(spec.member_ids)
             self.dataset = dataset if dataset is not None else ShardDataset(
                 spec.member_ids, spec.objects, spec.features
             )
+            index = spec.index
+        if index is None:
+            raise ConfigurationError(
+                f"shard {spec.worker_id} spec carries no index"
+            )
+        # The tree is read-only at query time (the bandit mirrors it into
+        # its own nodes), so one layout backs every shard engine built on
+        # it, in this process or another.
+        self.index: ClusterTree = index
         scorer = scorer if scorer is not None else spec.scorer
         if scorer is None:
             raise ValueError("shard needs a scorer (inline or via spec)")
         self.scorer = scorer
         factory = RngFactory(spec.root_entropy)
-        prebuilt = spec.prebuilt_index
-        if prebuilt is None and resolved is not None:
-            prebuilt = resolved.index
-        if prebuilt is not None:
-            # Cache hit: the tree is a pure function of (root entropy,
-            # worker id, partition, index config), and it is read-only at
-            # query time (the bandit mirrors it into its own nodes), so
-            # reuse is bit-identical to a rebuild.  Named RNG streams are
-            # independent, so skipping the index:{w} draws never perturbs
-            # the engine:{w} stream derived below.
-            self.index: ClusterTree = prebuilt
-        else:
-            if resolved is not None:
-                features = resolved.features
-            elif spec.features is not None:
-                features = np.asarray(spec.features, dtype=float)
-            else:
-                features = shard_features(self.dataset, self.member_ids)
-            local_config = shard_index_config(spec.index_config,
-                                              len(self.member_ids))
-            self.index = build_index(
-                features, self.member_ids, local_config,
-                rng=factory.named(f"index:{self.worker_id}"),
-            )
         engine_seed = int(
             factory.named(f"engine:{self.worker_id}").integers(2**31)
         )

@@ -45,8 +45,7 @@ class QueryExecutor(ABC):
 EXECUTORS: Dict[str, Type[QueryExecutor]] = {}
 
 
-def _shard_priors(session: "OpaqueQuerySession", plan: ExecutionPlan,
-                  root_entropy: int):
+def _shard_priors(session: "OpaqueQuerySession", plan: ExecutionPlan):
     """Stored warm-start payloads, one per shard — or ``None`` (cold)."""
     if not plan.warm_start or plan.fingerprint is None:
         return None
@@ -55,11 +54,9 @@ def _shard_priors(session: "OpaqueQuerySession", plan: ExecutionPlan,
 
     store = session._prior_store_for(plan.table)
     subset = subset_fingerprint(plan.allowed_ids)
-    priors = [
-        store.get(plan.fingerprint,
-                  shard_scope(worker, plan.workers, root_entropy, subset))
-        for worker in range(plan.workers)
-    ]
+    priors = [store.get(plan.fingerprint,
+                        shard_scope(worker, plan.workers, subset))
+              for worker in range(plan.workers)]
     return priors if any(p is not None for p in priors) else None
 
 
@@ -84,8 +81,7 @@ def _harvest_shard_priors(session: "OpaqueQuerySession",
     for worker_id, worker in enumerate(workers):
         store.put(
             plan.fingerprint,
-            shard_scope(worker_id, plan.workers, engine._root_entropy,
-                        subset),
+            shard_scope(worker_id, plan.workers, subset),
             harvest_priors(worker.engine),
         )
 
@@ -139,14 +135,14 @@ class SingleExecutor(QueryExecutor):
                 n_explore=0, n_exploit=0, virtual_time=0.0,
                 overhead_time=0.0, exhausted=True,
             )
-        # Live-table plans pin an immutable snapshot at plan time; the
-        # index request carries the pinned version so a write racing the
-        # dispatch serves a one-off tree over exactly those rows.
+        # Live-table plans pin an immutable snapshot and its maintained
+        # tree at plan time, so a write racing the dispatch changes
+        # neither the rows nor the index this query reads.
         dataset = (plan.dataset if plan.dataset is not None
                    else session._tables[plan.table])
         scorer = session._udfs[plan.udf]
-        index = session._index_for(plan.table, version=plan.table_version,
-                                   dataset=plan.dataset)
+        index = (plan.index if plan.index is not None
+                 else session._index_for(plan.table))
         if plan.allowed_ids is not None:
             index = index.restricted(plan.allowed_ids)
         engine = TopKEngine(
@@ -193,7 +189,7 @@ def _shard_engine(session: "OpaqueQuerySession", plan: ExecutionPlan,
     """A shard coordinator for the plan (``schedule``: cadence, stops)."""
     dataset = (plan.dataset if plan.dataset is not None
                else session._tables[plan.table])
-    engine = engine_cls(
+    return engine_cls(
         dataset, session._udfs[plan.udf],
         k=plan.k,
         n_workers=plan.workers,
@@ -206,16 +202,12 @@ def _shard_engine(session: "OpaqueQuerySession", plan: ExecutionPlan,
         index_cache=session._shard_cache_for(plan.table),
         ids=plan.allowed_ids,
         memo=session._memo_view_for(plan),
+        priors=_shard_priors(session, plan),
         trace=plan.trace,
         gate=plan.gate,
         table_version=plan.table_version,
         **schedule,
     )
-    # Priors are scoped by root entropy, which the engine only settles at
-    # construction; shard specs are built lazily at first run, so
-    # attaching them here still reaches every fresh shard engine.
-    engine._priors = _shard_priors(session, plan, engine._root_entropy)
-    return engine
 
 
 def _run_shard_engine(name: str, session: "OpaqueQuerySession",

@@ -345,6 +345,10 @@ class ExecutionPlan:
     #: ``None`` for ordinary registered datasets — executors fall back to
     #: the session registry.  Never rendered in :meth:`explain`.
     dataset: Optional[object] = None
+    #: For live tables: the maintained cluster tree at the pinned version,
+    #: so a write committed before dispatch cannot force a rebuild.
+    #: Never rendered in :meth:`explain`.
+    index: Optional[object] = None
     #: The pinned snapshot's ``table_version`` (0 for static tables);
     #: keys the shard-index cache and the memo's MVCC validity checks.
     table_version: int = 0

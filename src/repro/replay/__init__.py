@@ -79,8 +79,8 @@ def replay_engine(dataset, scorer, trace: ArrivalTrace, *,
         trace=span_trace,
     )
     # Re-anchor the RNG streams to the recorded run's root entropy so the
-    # partitions and shard engines rebuild identically (same trick as
-    # snapshot restore).
+    # shard engines rebuild identically (same trick as snapshot restore;
+    # the layout draws from the table's own seed).
     engine._factory = RngFactory(trace.root_entropy)
     engine._root_entropy = trace.root_entropy
     return engine

@@ -9,13 +9,13 @@ share warm shard-index caches and score memos (bit-identically) while
 warm-start priors and traces stay per-query.
 
 Scheduling is delegated to one :class:`~repro.service.budget.BudgetScheduler`:
-:meth:`QueryService.submit` resolves the query's scorer demand from its
-plan, admits it (policy-ordered and *thread-free* — the wait is a
-future resolved by the scheduler, so a backlog of waiting queries can
-never exhaust the worker threads admitted queries need to run and
-retire), and threads the resulting
-:class:`~repro.service.budget.QueryGrant` into the engine as its budget
-gate.  The engines themselves run on the service's own bounded thread
+:meth:`QueryService.submit` plans the query once, sizes its scorer
+demand from that plan, admits it (policy-ordered and *thread-free* — the
+wait is a future resolved by the scheduler, so a backlog of waiting
+queries can never exhaust the worker threads admitted queries need to run
+and retire), and runs that same plan with the resulting
+:class:`~repro.service.budget.QueryGrant` threaded into the engine as its
+budget gate.  The engines themselves run on the service's own bounded thread
 pool; the event loop only coordinates.
 
 Clients hold a :class:`QueryHandle`:
@@ -51,13 +51,18 @@ from __future__ import annotations
 import asyncio
 import concurrent.futures
 import functools
-from typing import AsyncIterator, Dict, List, Optional
+from typing import AsyncIterator, Dict, List, Optional, Tuple
 
 from repro.errors import ConfigurationError, QueryCancelledError
 from repro.live.continuous import DEFAULT_POLL, ContinuousQuery
 from repro.query.parser import parse
+from repro.query.plan import ExecutionPlan
 from repro.service.budget import BudgetScheduler, QueryGrant
 from repro.session import OpaqueQuerySession
+
+#: ``execute`` kwargs merged into the plan at admission (not the run's).
+_PLAN_KEYS = ("workers", "backend", "stream", "every", "confidence",
+              "use_cache", "warm_start")
 
 
 class QueryHandle:
@@ -230,10 +235,11 @@ class QueryService:
             # warm-start priors and trace (see OpaqueQuerySession.fork).
             session = self.session.fork()
             loop = asyncio.get_running_loop()
-            demand = await loop.run_in_executor(
+            plan, demand = await loop.run_in_executor(
                 self._executor,
                 functools.partial(self._resolve_demand, session,
-                                  handle.query, execute_kwargs),
+                                  handle.query, execute_kwargs,
+                                  stream=handle._wants_snapshots),
             )
             # The admission wait holds no thread (the scheduler resolves
             # the future); a cancel() during it is honoured right after
@@ -247,6 +253,11 @@ class QueryService:
                     f"query of tenant {handle.tenant!r} cancelled before start"
                 )
             handle.state = "running"
+            # One-shot queries run the plan the grant was sized from: it
+            # is pinned to its table version, so a write committed since
+            # admission cannot grow the query past its grant.
+            run_kwargs = {key: value for key, value in execute_kwargs.items()
+                          if key not in _PLAN_KEYS}
             if parse(handle.query).continuous:
                 result = await loop.run_in_executor(
                     self._executor,
@@ -257,13 +268,13 @@ class QueryService:
                 result = await loop.run_in_executor(
                     self._executor,
                     functools.partial(self._drive_stream, session, handle,
-                                      grant, execute_kwargs),
+                                      grant, plan, run_kwargs),
                 )
             else:
                 result = await loop.run_in_executor(
                     self._executor,
-                    functools.partial(session.execute, handle.query,
-                                      budget_gate=grant, **execute_kwargs),
+                    functools.partial(session.execute, plan,
+                                      budget_gate=grant, **run_kwargs),
                 )
             handle._finish(result=result)
         except BaseException as exc:  # noqa: BLE001 — every failure is the
@@ -274,41 +285,43 @@ class QueryService:
 
     @staticmethod
     def _resolve_demand(session: OpaqueQuerySession, query: str,
-                        execute_kwargs: Dict) -> int:
-        """The scorer demand a query commits at admission.
+                        execute_kwargs: Dict, stream: bool = False,
+                        ) -> Tuple[ExecutionPlan, int]:
+        """Plan a query once; return the plan and the demand it commits.
 
-        Its resolved budget when it has one, else every candidate the
-        plan leaves in play — plus the single engine's boundary headroom,
-        so a fully funded run is bit-identical to a solo one even at the
-        budget edge: its final batch crosses the budget line (up to
+        The demand is the plan's budget, else every candidate it leaves
+        in play — plus the single engine's boundary headroom, so a fully
+        funded run is bit-identical to a solo one even at the budget
+        edge: its final batch crosses the budget line (up to
         ``batch_size - 1`` extra scored calls).  The shard coordinator
-        (sharded and streaming) never reserves past its budget.  Unused
-        headroom returns to the pool when the grant retires.
+        never reserves past its budget.  Unused headroom returns to the
+        pool when the grant retires.  ``stream`` plans a snapshot query
+        in streaming mode.
         """
         plan_kwargs = {key: value for key, value in execute_kwargs.items()
-                       if key in ("workers", "backend", "stream", "every",
-                                  "confidence", "use_cache", "warm_start")}
+                       if key in _PLAN_KEYS}
+        if stream:
+            plan_kwargs["stream"] = True
         plan = session.plan(query, **plan_kwargs)
         demand = (plan.n_candidates if plan.budget is None
                   else min(plan.budget, plan.n_candidates))
         if plan.mode == "single":
-            return demand + max(0, plan.batch_size - 1)
-        return demand
+            demand += max(0, plan.batch_size - 1)
+        return plan, demand
 
     @staticmethod
     def _drive_stream(session: OpaqueQuerySession, handle: QueryHandle,
-                      grant: QueryGrant, execute_kwargs: Dict):
-        """Run a streaming query on this worker thread, pushing snapshots.
+                      grant: QueryGrant, plan: ExecutionPlan,
+                      run_kwargs: Dict):
+        """Run a streaming plan on this worker thread, pushing snapshots.
 
         Returns the last (converged) snapshot as the final result.  Runs
         entirely off-loop; each snapshot hops to the event loop through
         ``call_soon_threadsafe``.
         """
-        kwargs = dict(execute_kwargs)
-        kwargs.pop("stream", None)
         last = None
-        for snapshot in session.stream(handle.query, budget_gate=grant,
-                                       **kwargs):
+        for snapshot in session.stream(plan, budget_gate=grant,
+                                       **run_kwargs):
             last = snapshot
             handle._push_snapshot(snapshot)
         return last

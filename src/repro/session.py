@@ -46,11 +46,13 @@ scores everything, so its answer is exact and certified (bound 0):
 
 The session builds (and caches) one index per table — the index is
 task-independent, so every UDF registered against a table reuses it.
-Per-shard partition indexes are cached across sharded *and* streaming
-runs on the same table (one :class:`~repro.parallel.cache.ShardIndexCache`
-per table, keys including the ``WHERE`` candidate-subset fingerprint), so
-repeat queries with the same seed, worker count, filter, and index
-configuration skip every per-partition k-means fit.
+``WORKERS`` queries likewise share one shard layout (partitions plus
+per-shard trees) per table version, worker count and ``WHERE`` subset
+(one :class:`~repro.parallel.cache.ShardIndexCache` per table), built in
+the coordinator from the same seed as the table tree
+(:data:`~repro.index.builder.INDEX_SEED`): a query's ``SEED`` drives
+only its bandits, so queries that differ only in ``SEED`` skip every
+per-shard k-means fit after the first.
 """
 
 from __future__ import annotations
@@ -66,7 +68,7 @@ from repro.core.convergence import check_confidence
 from repro.core.result import QueryResult, ResultBase
 from repro.data.dataset import Dataset
 from repro.errors import ConfigurationError
-from repro.index.builder import IndexConfig, build_index
+from repro.index.builder import INDEX_SEED, IndexConfig, build_index
 from repro.index.tree import ClusterNode, ClusterTree
 from repro.live.maintenance import IndexMaintainer
 from repro.live.table import LiveTable, TableSnapshot
@@ -110,7 +112,6 @@ class OpaqueQuerySession:
     """
 
     def __init__(self, default_index_config: Optional[IndexConfig] = None,
-                 index_seed: int = 0,
                  sync_interval: int = 100,
                  enable_cache: bool = True) -> None:
         self._tables: Dict[str, Dataset] = {}
@@ -118,12 +119,11 @@ class OpaqueQuerySession:
         self._index_configs: Dict[str, IndexConfig] = {}
         self._udfs: Dict[str, Scorer] = {}
         self._default_index_config = default_index_config
-        self._index_seed = index_seed
         self._sync_interval = sync_interval  # WORKERS merge / slice cadence
-        # Per-table cache of per-shard partition indexes, shared by the
-        # sharded (round) and streaming engines: datasets are immutable
-        # once registered, so a repeat query with the same seed / worker
-        # count / filter / index config reuses every partition index.
+        # Per-table cache of shard layouts (partitions plus per-shard
+        # trees), shared by the sharded and streaming engines: a layout
+        # belongs to the table version, so every query with the same
+        # worker count and filter reuses it whatever its SEED.
         self._shard_caches: Dict[str, ShardIndexCache] = {}
         # Cross-query learning (repro.memo): one score memo and one
         # warm-start prior store per table, keyed inside by UDF
@@ -166,7 +166,6 @@ class OpaqueQuerySession:
         """
         child = OpaqueQuerySession(
             default_index_config=self._default_index_config,
-            index_seed=self._index_seed,
             sync_interval=self._sync_interval,
             enable_cache=self._enable_cache,
         )
@@ -227,47 +226,36 @@ class OpaqueQuerySession:
 
     # -- executor plumbing (shared with repro.query.executors) ---------------
 
-    def _index_for(self, table: str, version: Optional[int] = None,
-                   dataset: Optional[Dataset] = None) -> ClusterTree:
+    def _index_for(self, table: str) -> ClusterTree:
         """Build (once) or fetch the table's task-independent index.
 
         Serialized under the registry lock so racing forks build the
         index exactly once (the build is deterministic, but one build is
-        still cheaper than two).
-
-        For live tables the maintained tree is served after catching the
-        maintainer up to the write log.  ``version`` pins the request to
-        one snapshot version: when it no longer matches the maintained
-        tree (a write committed between plan and dispatch), a one-off
-        tree is built from the pinned ``dataset`` instead — the query
-        keeps its snapshot-isolated answer, uncached.
+        still cheaper than two).  For live tables the maintained tree is
+        served after catching the maintainer up to the write log; a plan
+        pins the tree of its own version instead
+        (:attr:`~repro.query.plan.ExecutionPlan.index`).
         """
         with self._registry_lock:
             live = self._live_table(table)
             if live is not None:
-                _snapshot, maintainer = self._reconcile_writes(table, live)
-                if version is not None and version != maintainer.version:
-                    if dataset is None:
-                        raise ConfigurationError(
-                            f"table {table!r} is at version "
-                            f"{maintainer.version}; cannot serve version "
-                            f"{version} without its pinned snapshot"
-                        )
-                    return self._build_tree(table, dataset)
-                return maintainer.tree
+                return self._reconcile_writes(table, live)[1].tree
             if table not in self._indexes:
                 dataset = self._tables[table]
-                config = self._index_configs.get(
-                    table,
-                    self._default_index_config
-                    or IndexConfig(
-                        n_clusters=max(2, min(64, len(dataset) // 50))),
-                )
                 self._indexes[table] = build_index(
-                    dataset.features(), dataset.ids(), config,
-                    rng=self._index_seed,
+                    dataset.features(), dataset.ids(),
+                    self._index_config_for(table, len(dataset)),
+                    rng=INDEX_SEED,
                 )
             return self._indexes[table]
+
+    def _index_config_for(self, table: str, n_rows: int) -> IndexConfig:
+        """The table's registered, default, or size-derived IndexConfig."""
+        return self._index_configs.get(
+            table,
+            self._default_index_config
+            or IndexConfig(n_clusters=max(2, min(64, n_rows // 50))),
+        )
 
     # -- live tables ---------------------------------------------------------
 
@@ -285,16 +273,11 @@ class OpaqueQuerySession:
         """
         if len(snapshot) == 0:
             return ClusterTree(ClusterNode(node_id="root"))
-        config = self._index_configs.get(
-            table,
-            self._default_index_config
-            or IndexConfig(
-                n_clusters=max(2, min(64, len(snapshot) // 50))),
-        )
+        config = self._index_config_for(table, len(snapshot))
         if config.n_clusters > len(snapshot):
             config = replace(config, n_clusters=max(1, len(snapshot)))
         return build_index(snapshot.features(), snapshot.ids(), config,
-                           rng=self._index_seed)
+                           rng=INDEX_SEED)
 
     def _maintainer_for(self, table: str,
                         live: LiveTable) -> IndexMaintainer:
@@ -495,11 +478,12 @@ class OpaqueQuerySession:
         # what it reads.
         live = self._live_table(logical.table)
         table_version = 0
-        index_freshness = None
+        index_freshness = tree = None
         if live is not None:
             with self._registry_lock:
                 pinned, maintainer = self._reconcile_writes(
                     logical.table, live)
+                tree = maintainer.tree
             dataset = pinned
             table_version = pinned.version
             index_freshness = maintainer.freshness
@@ -586,6 +570,7 @@ class OpaqueQuerySession:
             memo_entries=memo_entries,
             expected_hit_rate=expected_hit_rate,
             dataset=dataset if live is not None else None,
+            index=tree,
             table_version=table_version,
             index_freshness=index_freshness,
         )
@@ -623,7 +608,37 @@ class OpaqueQuerySession:
 
     # -- execution -----------------------------------------------------------
 
-    def execute(self, query: Union[str, QueryPlan], *,
+    def _resolve(self, query: Union[str, QueryPlan, ExecutionPlan], *,
+                 trace: bool, **defaults,
+                 ) -> Tuple[ExecutionPlan, Optional[TraceContext]]:
+        """Parse and plan one query, with its tracer when one is asked for.
+
+        ``trace=True`` or ``EXPLAIN ANALYZE`` opens a tracer whose first
+        spans are the parse and the plan.  A query given as an
+        :class:`~repro.query.plan.ExecutionPlan` is returned as it is: it
+        was planned already (the service sizes a grant from it), stays
+        pinned to the table version it was planned at, and ignores
+        ``defaults``, which were merged when it was planned.
+        """
+        t_parse = time.perf_counter()
+        if isinstance(query, ExecutionPlan):
+            tracer = (TraceContext(origin=t_parse)
+                      if trace or query.query.analyze else None)
+            return query, tracer
+        logical = parse(query) if isinstance(query, str) else query
+        parse_wall = time.perf_counter() - t_parse
+        # ANALYZE forces a tracer: the report *is* the span tree.  The
+        # parse span is attached after the fact (the ANALYZE keyword is
+        # only known once parsing is done) — backdating the origin to
+        # t_parse keeps the timeline starting at the parse, not after it.
+        if not (trace or logical.analyze):
+            return self.plan(logical, **defaults), None
+        tracer = TraceContext(origin=t_parse)
+        tracer.attach(Span("parse", wall=parse_wall).to_dict())
+        with tracer.span("plan"):
+            return self.plan(logical, **defaults), tracer
+
+    def execute(self, query: Union[str, QueryPlan, ExecutionPlan], *,
                 workers: Optional[int] = None,
                 backend: Optional[str] = None,
                 stream: Optional[bool] = None,
@@ -649,7 +664,9 @@ class OpaqueQuerySession:
         forced tracer and return an
         :class:`~repro.obs.analyze.ExplainAnalyzeReport`.  Keyword
         arguments are caller-side defaults for the equivalent clauses
-        (see :meth:`plan`).
+        (see :meth:`plan`).  An :class:`~repro.query.plan.ExecutionPlan`
+        from :meth:`plan` runs as planned, on the table version it was
+        planned at, and the clause defaults are not consulted again.
 
         ``trace=True`` records a query-lifecycle span tree
         (:class:`~repro.obs.spans.TraceContext`) without changing the
@@ -663,28 +680,10 @@ class OpaqueQuerySession:
         query's real UDF calls against a shared pool; a fully funded
         gate never changes the answer.
         """
-        t_parse = time.perf_counter()
-        logical = parse(query) if isinstance(query, str) else query
-        parse_wall = time.perf_counter() - t_parse
-        # ANALYZE forces a tracer: the report *is* the span tree.  The
-        # parse span is attached after the fact (the ANALYZE keyword is
-        # only known once parsing is done) — backdating the origin to
-        # t_parse keeps the timeline starting at the parse, not after it.
-        tracer = (TraceContext(origin=t_parse)
-                  if trace or logical.analyze else None)
-        if tracer is not None:
-            tracer.attach(Span("parse", wall=parse_wall).to_dict())
-            with tracer.span("plan"):
-                resolved = self.plan(logical, workers=workers,
-                                     backend=backend, stream=stream,
-                                     every=every, confidence=confidence,
-                                     use_cache=use_cache,
-                                     warm_start=warm_start)
-        else:
-            resolved = self.plan(logical, workers=workers, backend=backend,
-                                 stream=stream, every=every,
-                                 confidence=confidence,
-                                 use_cache=use_cache, warm_start=warm_start)
+        resolved, tracer = self._resolve(
+            query, trace=trace, workers=workers, backend=backend,
+            stream=stream, every=every, confidence=confidence,
+            use_cache=use_cache, warm_start=warm_start)
         if resolved.query.explain and not resolved.query.analyze:
             return resolved
         if resolved.query.continuous:
@@ -726,7 +725,7 @@ class OpaqueQuerySession:
             if looked:
                 MEMO_HIT_RATE.set(hits / looked, table=plan.table)
 
-    def stream(self, query: Union[str, QueryPlan], *,
+    def stream(self, query: Union[str, QueryPlan, ExecutionPlan], *,
                workers: Optional[int] = None,
                backend: Optional[str] = None,
                every: Optional[int] = None,
@@ -745,23 +744,10 @@ class OpaqueQuerySession:
         tree into :attr:`last_trace` (complete once the iterator is
         exhausted).
         """
-        t_parse = time.perf_counter()
-        logical = parse(query) if isinstance(query, str) else query
-        parse_wall = time.perf_counter() - t_parse
-        tracer = TraceContext(origin=t_parse) if trace else None
-        if tracer is not None:
-            tracer.attach(Span("parse", wall=parse_wall).to_dict())
-            with tracer.span("plan"):
-                resolved = self.plan(logical, workers=workers,
-                                     backend=backend, stream=True,
-                                     every=every, confidence=confidence,
-                                     use_cache=use_cache,
-                                     warm_start=warm_start)
-        else:
-            resolved = self.plan(logical, workers=workers, backend=backend,
-                                 stream=True, every=every,
-                                 confidence=confidence,
-                                 use_cache=use_cache, warm_start=warm_start)
+        resolved, tracer = self._resolve(
+            query, trace=trace, workers=workers, backend=backend,
+            stream=True, every=every, confidence=confidence,
+            use_cache=use_cache, warm_start=warm_start)
         if resolved.query.explain:
             raise ConfigurationError(
                 "EXPLAIN queries return a plan and cannot be streamed; "

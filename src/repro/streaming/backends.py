@@ -101,7 +101,7 @@ class StreamBackend:
         raise NotImplementedError
 
     def inline_workers(self) -> Optional[List[ShardWorker]]:
-        """In-process :class:`ShardWorker` list, for index harvesting."""
+        """In-process :class:`ShardWorker` list, for prior harvests."""
         return None
 
     def close(self) -> None:

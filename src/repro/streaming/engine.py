@@ -60,6 +60,7 @@ order is logged to a :class:`~repro.replay.trace.ArrivalTrace` that
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 from typing import (ClassVar, Dict, Iterator, List, Optional, Sequence,
@@ -71,7 +72,7 @@ from repro.core.minmax_heap import TopKBuffer
 from repro.core.result import ResultBase
 from repro.data.dataset import Dataset
 from repro.errors import ConfigurationError, SerializationError
-from repro.index.builder import IndexConfig
+from repro.index.builder import INDEX_SEED, IndexConfig
 from repro.obs.metrics import (
     MEMO_HITS_TOTAL,
     ROUNDS_TOTAL,
@@ -80,13 +81,8 @@ from repro.obs.metrics import (
     UDF_CALLS_TOTAL,
 )
 from repro.obs.spans import TraceContext
-from repro.parallel.cache import ShardIndexCache, subset_fingerprint
-from repro.parallel.worker import (
-    RoundOutcome,
-    ShardSpec,
-    build_shard_specs,
-    harvest_shard_indexes,
-)
+from repro.parallel.cache import ShardIndexCache
+from repro.parallel.worker import RoundOutcome, ShardSpec, build_shard_specs
 from repro.scoring.base import Scorer
 from repro.streaming.backends import (
     SliceEvent,
@@ -288,18 +284,20 @@ class StreamingTopKEngine:
         :meth:`trace`), making real thread/process runs replayable
         bit for bit via :mod:`repro.replay`.
     seed:
-        Root seed; shards get independent derived streams regardless of
-        the backend (the root entropy travels to child processes, not
-        live generators).
+        Root seed of the shards' bandit streams; shards get independent
+        derived streams regardless of the backend (the root entropy
+        travels to child processes, not live generators).  It does not
+        reach the shard layout: partitions and per-shard trees draw from
+        the table's :data:`~repro.index.builder.INDEX_SEED`.
     index_config / engine_config:
         Per-partition index configuration (cluster count clamped per
         shard) and per-shard engine settings (``k`` is forced to the
         query's k so the merge is lossless).
     index_cache:
         Optional :class:`~repro.parallel.cache.ShardIndexCache` shared
-        across runs on the same dataset: a hit reuses the cached
-        partitions and per-shard indexes bit-identically; a miss harvests
-        them after the build (in-process backends only).
+        across runs on the same dataset: a hit reuses the cached layout
+        (partitions and per-shard trees) bit-identically; a miss builds
+        it in the coordinator and stores it, on every backend.
     ids:
         Optional candidate subset (``WHERE`` pushdown): only those
         elements are partitioned, indexed and drawn.
@@ -399,6 +397,7 @@ class StreamingTopKEngine:
         self.confidence = check_confidence(confidence)
         self._factory = RngFactory(seed)
         self._root_entropy = self._factory._root.entropy
+        self._layout_seed = INDEX_SEED
         self._index_config = index_config
         self._engine_config = engine_config or EngineConfig(k=k)
         self._index_cache = index_cache
@@ -423,7 +422,6 @@ class StreamingTopKEngine:
             self._recorder = TraceRecorder()
         # Coordinator state (persists across drives for resumption).
         self._started = False
-        self._cache_hit = False
         self._partitions: List[List[str]] = []
         self._buffer: TopKBuffer[str] = TopKBuffer(self.k)
         self._merged_ids: Set[str] = set()
@@ -485,14 +483,14 @@ class StreamingTopKEngine:
         self._ensure_started()
 
     def _build_specs(self) -> List[ShardSpec]:
-        (self._partitions, specs, self._cache_hit,
-         self._shm_table) = build_shard_specs(
+        self._partitions, specs, self._shm_table = build_shard_specs(
             self.dataset, self.scorer,
             n_workers=self.n_workers, k=self.k,
             engine_config=self._engine_config,
             index_config=self._index_config,
             factory=self._factory, root_entropy=self._root_entropy,
             materialize=self.backend.name == "process",
+            layout_seed=self._layout_seed,
             restore_payloads=self._restore_payloads,
             resume_count=self._resume_count,
             index_cache=self._index_cache,
@@ -519,17 +517,6 @@ class StreamingTopKEngine:
             self._release_shm()
             raise
         self._started = True
-        if not self._cache_hit:
-            harvest_shard_indexes(
-                self._index_cache,
-                root_entropy=self._root_entropy,
-                index_config=self._index_config,
-                n_elements=self._population,
-                partitions=self._partitions,
-                workers=self.backend.inline_workers(),
-                subset=subset_fingerprint(self._ids),
-                table_version=self._table_version,
-            )
 
     # -- execution -----------------------------------------------------------
 
@@ -644,7 +631,7 @@ class StreamingTopKEngine:
             max(0, self._last_total - self.total_scored),
         )
         self.progressive.append(
-            (self.wall_time, self.total_scored, self._buffer.stk)
+            (self.wall_time, self.total_scored, self._stk)
         )
 
     def _merge_slice(self, event: SliceEvent) -> None:
@@ -684,7 +671,7 @@ class StreamingTopKEngine:
             self._absorb(outcome)
         # The virtual clock advances by the round's slowest shard.
         self._settle(self.wall_time + max(o.cost for o in outcomes))
-        self.checkpoints.append((self.wall_time, self._buffer.stk))
+        self.checkpoints.append((self.wall_time, self._stk))
         ROUNDS_TOTAL.inc(backend=self.backend.name)
         if self._trace is not None:
             for outcome in outcomes:
@@ -740,7 +727,7 @@ class StreamingTopKEngine:
             budget_spent=self.total_scored,
             threshold=self._buffer.threshold,
             converged=converged,
-            stk=self._buffer.stk,
+            stk=self._stk,
             wall_time=self.wall_time,
             n_merges=self.n_merges,
             backend=self.backend.name,
@@ -818,6 +805,15 @@ class StreamingTopKEngine:
             pass
         return self.result()
 
+    @property
+    def _stk(self) -> float:
+        """STK of the merged answer, exact and so merge-order independent.
+
+        The buffer's running sum adds gains in arrival order, which is
+        timing-dependent on thread and process backends.
+        """
+        return math.fsum(self._buffer.scores())
+
     def _items(self) -> List[Tuple[str, float]]:
         return [(element_id, score)
                 for score, element_id in self._buffer.items()]
@@ -843,7 +839,7 @@ class StreamingTopKEngine:
         return StreamingResult(
             k=self.k,
             items=self._items(),
-            stk=self._buffer.stk,
+            stk=self._stk,
             wall_time=self.wall_time,
             total_scored=self.total_scored,
             n_merges=self.n_merges,
@@ -931,6 +927,7 @@ class StreamingTopKEngine:
             "share_threshold": self.share_threshold,
             "backend": self.backend.name,
             "root_entropy": self._root_entropy,
+            "layout_seed": self._layout_seed,
             "resume_count": self._resume_count,
             "table_version": self._table_version,
             "coordinator": {
@@ -976,8 +973,11 @@ class StreamingTopKEngine:
 
         ``dataset`` must be the same dataset, and ``index_config`` /
         ``engine_config`` must repeat whatever the original run used
-        (shard indexes are rebuilt deterministically from the stored root
-        entropy, and node IDs are verified during engine restore).
+        (the shard layout is rebuilt, or fetched from ``index_cache``,
+        from the stored layout seed, and node IDs are verified during
+        engine restore).  A snapshot written before layouts had their own
+        seed carries none; its partitions were drawn from the query's
+        root entropy, so that entropy is its layout seed.
         ``backend`` may differ — a run paused under ``thread`` can resume
         under ``serial`` or ``process`` and vice versa.  ``memo``
         optionally re-attaches a live :class:`~repro.memo.store.MemoView`;
@@ -1014,10 +1014,13 @@ class StreamingTopKEngine:
             table_version=stored_version,
             **cls._schedule_kwargs(snapshot),
         )
-        # Re-anchor the RNG streams to the original run's root entropy so
-        # partitions and shard indexes rebuild identically.
+        # Re-anchor the shard streams to the original run's root entropy
+        # and the layout to its seed, so partitions and trees rebuild
+        # identically.
         engine._factory = RngFactory(snapshot["root_entropy"])
         engine._root_entropy = snapshot["root_entropy"]
+        engine._layout_seed = int(snapshot.get("layout_seed",
+                                               snapshot["root_entropy"]))
         engine._resume_count = int(snapshot.get("resume_count", 0)) + 1
         engine._restore_payloads = list(snapshot["workers"])
         memo_payload = snapshot.get("memo")

@@ -300,6 +300,29 @@ class TestWriterReaderRace:
         assert fired.is_set() and table.version == 1
         assert [i for i, _ in racy.items] == [i for i, _ in baseline.items]
 
+    def test_write_between_plan_and_dispatch_reuses_the_pinned_tree(
+            self, monkeypatch):
+        """A plan pins its version's maintained tree: a write committed
+        before dispatch neither shows in the answer nor forces a
+        rebuild of the table index."""
+        import repro.session as session_module
+
+        session, _, table = make_live_session(make_live_table(seed=13))
+        baseline = session.execute(EXHAUSTIVE)      # builds the index
+        plan = session.plan(EXHAUSTIVE)
+        append_rows(table, [50.0, 60.0])            # would dominate
+        builds = []
+        real_build = session_module.build_index
+
+        def counting_build(*args, **kwargs):
+            builds.append(1)
+            return real_build(*args, **kwargs)
+
+        monkeypatch.setattr(session_module, "build_index", counting_build)
+        pinned = session.execute(plan)
+        assert builds == []
+        assert answer(pinned) == answer(baseline)
+
 
 # -- MVCC memo and version-stamped snapshots ---------------------------------
 

@@ -191,8 +191,8 @@ def test_memo_shared_across_where_subsets_priors_are_not(memo_table):
                       if memo_table.features()[int(i[1:])][1] < 0.6)
     assert (single_scope(subset_fingerprint(narrow_ids))
             != single_scope(subset_fingerprint(wide_ids)))
-    assert (shard_scope(0, 2, 123, subset_fingerprint(narrow_ids))
-            != shard_scope(0, 2, 123, subset_fingerprint(wide_ids)))
+    assert (shard_scope(0, 2, subset_fingerprint(narrow_ids))
+            != shard_scope(0, 2, subset_fingerprint(wide_ids)))
     # ... and both harvested under the session's prior store.
     store = session._prior_store_for("t")
     assert len(store) == 2

@@ -357,14 +357,78 @@ class TestRoundIndexCache:
         assert warm.items == cold.items
         assert warm.checkpoints == cold.checkpoints
 
-    def test_thread_backend_harvests_too(self, world):
+    @pytest.mark.parametrize("backend", ["thread", "process"])
+    def test_every_backend_fills_the_cache(self, world, backend):
+        """Layouts are built in the coordinator, so process runs (whose
+        shard engines live in children) fill and hit the cache too."""
         from repro.parallel import ShardIndexCache
 
         dataset, scorer, _ = world
         cache = ShardIndexCache()
-        run_sharded(dataset, scorer, "thread", budget=300,
+        run_sharded(dataset, scorer, backend, budget=300,
                     index_cache=cache)
-        assert len(cache) == 1
+        assert len(cache) == 1 and cache.hits == 0
+        run_sharded(dataset, scorer, backend, budget=300, seed=1,
+                    index_cache=cache)
+        assert len(cache) == 1 and cache.hits == 1
+
+
+class TestTableLayout:
+    """One shard layout per (table version, workers, WHERE subset)."""
+
+    QUERIES = (
+        "SELECT TOP 5 FROM t ORDER BY relu WHERE feature[0] > -100 "
+        "BUDGET 150 SEED 1 WORKERS 2 BACKEND {backend}",
+        "SELECT TOP 5 FROM t ORDER BY relu WHERE feature[0] > -100 "
+        "BUDGET 150 SEED 2 WORKERS 2 BACKEND {backend}",
+        # Exhaustive, so the barrier-free merge order cannot move it.
+        "SELECT TOP 5 FROM t ORDER BY relu WHERE feature[0] > -100 "
+        "SEED 3 WORKERS 2 BACKEND {backend} STREAM",
+    )
+
+    @staticmethod
+    def _run(world, backend, monkeypatch):
+        import os
+
+        from repro.index.kmeans import KMeans
+        from repro.session import OpaqueQuerySession
+
+        dataset, scorer, _ = world
+        session = OpaqueQuerySession()
+        session.register_table("t", dataset,
+                               index_config=IndexConfig(n_clusters=4))
+        session.register_udf("relu", scorer)
+        fits = []
+        coordinator = os.getpid()
+        real_fit = KMeans.fit
+
+        def counting_fit(self, *args, **kwargs):
+            # Forked shard children inherit this patch: a fit there
+            # would be a worker-side build, which must never happen.
+            assert os.getpid() == coordinator, "k-means fit in a shard"
+            fits.append(1)
+            return real_fit(self, *args, **kwargs)
+
+        monkeypatch.setattr(KMeans, "fit", counting_fit)
+        results, fit_counts = [], []
+        for query in TestTableLayout.QUERIES:
+            before = len(fits)
+            results.append(session.execute(query.format(backend=backend)))
+            fit_counts.append(len(fits) - before)
+        return session, results, fit_counts
+
+    def test_new_seeds_reuse_one_layout_on_every_backend(self, world,
+                                                         monkeypatch):
+        answers = {}
+        for backend in ("serial", "thread", "process"):
+            session, results, fit_counts = self._run(world, backend,
+                                                     monkeypatch)
+            assert fit_counts[0] == 2          # one tree per shard
+            assert fit_counts[1:] == [0, 0]    # new SEEDs fit nothing
+            cache = session._shard_caches["t"]
+            assert len(cache) == 1 and cache.hits == 2
+            answers[backend] = [(r.items, r.stk) for r in results]
+        assert answers["serial"] == answers["thread"] == answers["process"]
 
 
 class TestExhaustiveParallel:

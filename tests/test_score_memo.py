@@ -139,7 +139,7 @@ class TestShardedBitIdentity:
         all_ids = memo_table.ids()
         view.record(all_ids[:50], [float(i) for i in range(50)])
         factory = RngFactory(0)
-        partitions, specs, _, table = build_shard_specs(
+        partitions, specs, table = build_shard_specs(
             memo_table, FunctionScorer(lambda v: float(v)),
             n_workers=4, k=3, engine_config=EngineConfig(k=3),
             index_config=None, factory=factory,

@@ -241,6 +241,57 @@ class TestBudgetContention:
         assert stats["spent"] == 25 and stats["committed"] == 0
 
 
+class TestAdmittedPlanRuns:
+    """A query runs the plan its grant was sized from, and no other."""
+
+    @pytest.mark.parametrize("snapshots", [False, True])
+    def test_write_after_admission_keeps_exhaustive_stream_exact(
+            self, monkeypatch, snapshots):
+        """An append that adds WHERE candidates commits between admission
+        and run.  A re-plan at run time would see more candidates than
+        the grant funds and return a partial answer; the admitted plan is
+        pinned to its version, so the exhaustive STREAM returns exactly
+        that version's top-k."""
+        import numpy as np
+
+        from tests.test_live import append_rows, make_live_session
+
+        session, _scorer, table = make_live_session()
+        admitted = table.snapshot()
+        values = np.asarray(admitted.features())[:, 0]
+        candidates = [(max(0.0, float(v)), element_id)
+                      for element_id, v in zip(admitted.ids(), values)
+                      if v > 0]
+        expected = [(element_id, score) for score, element_id
+                    in sorted(candidates, reverse=True)[:5]]
+
+        real_resolve = QueryService._resolve_demand
+
+        def resolve_then_write(*args, **kwargs):
+            resolved = real_resolve(*args, **kwargs)
+            # Ten new candidates, each scoring above every admitted one.
+            append_rows(table, 10.0 + np.arange(10))
+            return resolved
+
+        monkeypatch.setattr(QueryService, "_resolve_demand",
+                            staticmethod(resolve_then_write))
+
+        async def main():
+            service = QueryService(budget=10_000, session=session)
+            handle = await service.submit(
+                "SELECT TOP 5 FROM t ORDER BY f WHERE feature[0] > 0 "
+                "BUDGET 100% SEED 4 WORKERS 2 STREAM",
+                snapshots=snapshots)
+            result = await handle.result()
+            await service.close()
+            return result
+
+        result = run(main())
+        items = result.top_k if snapshots else result.items
+        assert table.version == admitted.version + 1
+        assert [(str(i), float(s)) for i, s in items] == expected
+
+
 class TestFaultInjection:
     def test_cancelled_query_releases_budget(self):
         async def main():
@@ -354,8 +405,8 @@ class TestShardIndexCacheHammer:
         atomic and the size bound holds throughout.
         """
         cache = ShardIndexCache(maxsize=4)
-        keys = [shard_cache_key(entropy, 2, None, 100)
-                for entropy in range(12)]
+        keys = [shard_cache_key(seed, 2, None, 100)
+                for seed in range(12)]
         errors = []
         stop = threading.Event()
 

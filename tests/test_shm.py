@@ -153,7 +153,7 @@ class TestSpecWireSize:
         sizes = {}
         for per_cluster in (100, 800):  # 600 vs 4800 elements
             dataset = make_dataset(per_cluster=per_cluster)
-            _parts, specs, _hit, table = make_specs(dataset,
+            _parts, specs, table = make_specs(dataset,
                                                     shared_memory=True)
             try:
                 sizes[per_cluster] = [len(pickle.dumps(s)) for s in specs]
@@ -169,7 +169,7 @@ class TestSpecWireSize:
 
     def test_copy_path_grows_where_shm_does_not(self):
         dataset = make_dataset(per_cluster=200)
-        _parts, inline_specs, _hit, table = make_specs(dataset,
+        _parts, inline_specs, table = make_specs(dataset,
                                                        shared_memory=False)
         assert table is None
         inline = max(len(pickle.dumps(s)) for s in inline_specs)
@@ -260,7 +260,7 @@ class TestFallbackAndOptOut:
         monkeypatch.setenv("REPRO_DISABLE_SHM", "1")
         assert not shm_default_enabled()
         dataset = make_dataset()
-        _parts, specs, _hit, table = make_specs(dataset, shared_memory=None)
+        _parts, specs, table = make_specs(dataset, shared_memory=None)
         assert table is None
         assert all(s.features_ref is None and s.features is not None
                    for s in specs)
@@ -274,7 +274,7 @@ class TestFallbackAndOptOut:
         monkeypatch.setattr(worker_module.SharedFeatureTable, "create",
                             classmethod(explode))
         dataset = make_dataset()
-        _parts, specs, _hit, table = make_specs(dataset, shared_memory=None)
+        _parts, specs, table = make_specs(dataset, shared_memory=None)
         assert table is None
         assert all(s.features is not None and s.objects is not None
                    for s in specs)
@@ -284,7 +284,7 @@ class TestFallbackAndOptOut:
     def test_serial_and_thread_never_allocate_a_table(self):
         dataset = make_dataset()
         factory = RngFactory(0)
-        _parts, specs, _hit, table = build_shard_specs(
+        _parts, specs, table = build_shard_specs(
             dataset, ReluScorer(), n_workers=3, k=10,
             engine_config=EngineConfig(k=10), index_config=None,
             factory=factory, root_entropy=factory._root.entropy,

@@ -327,6 +327,45 @@ class TestSnapshotResume:
         with pytest.raises(Exception, match="format"):
             StreamingTopKEngine.restore(dataset, scorer, {"format": "nope"})
 
+    def test_snapshot_before_layout_seed_restores_exactly(self):
+        """``data/streaming_snapshot_v1.json`` was written before shard
+        layouts had their own seed: a serial run over this dataset (k=3,
+        2 workers, slice budget 2, SEED 7) paused after 4 of 8 calls,
+        whose partitions were dealt from the query's root entropy.  It
+        carries no layout seed, so it restores with that entropy as one:
+        the partitions rebuild exactly and the run finishes exact."""
+        from pathlib import Path
+
+        from repro.core.engine import EngineConfig
+
+        snapshot = json.loads(
+            (Path(__file__).parent / "data" / "streaming_snapshot_v1.json")
+            .read_text())
+        assert snapshot["format"] == "repro-streaming-snapshot/1"
+        assert "layout_seed" not in snapshot and snapshot["root_entropy"]
+        dataset = SyntheticClustersDataset.generate(n_clusters=2,
+                                                    per_cluster=4, rng=0)
+        scorer = ReluScorer()
+        truth = compute_ground_truth(dataset, scorer)
+        with StreamingTopKEngine.restore(
+                dataset, scorer, snapshot,
+                index_config=IndexConfig(n_clusters=2),
+                engine_config=EngineConfig(k=3, n_bins=2)) as resumed:
+            assert resumed.total_scored == 4
+            final = resumed.run()
+            # The deal the original run drew from SEED 7.
+            assert resumed._partitions == [
+                ["c001-00001", "c000-00003", "c000-00002", "c000-00001"],
+                ["c001-00000", "c001-00003", "c001-00002", "c000-00000"],
+            ]
+            assert resumed.snapshot()["layout_seed"] == 7
+        assert final.total_scored == len(dataset)
+        assert set(final.ids) == truth.topk_ids(3)
+        assert final.stk == pytest.approx(truth.optimal_stk(3), rel=1e-12)
+        assert final.displacement_bound == 0.0
+        assert final.progressive[:2] == [
+            tuple(point) for point in snapshot["coordinator"]["progressive"]]
+
 
 class TestShardIndexCache:
     def test_cache_roundtrip_is_bit_identical(self, world):
@@ -378,15 +417,16 @@ class TestShardIndexCache:
                       index_cache=cache)
         assert len(calls) == cold_builds  # warm run builds nothing
 
-    def test_different_seed_misses(self, world):
+    def test_different_seeds_share_one_layout(self, world):
+        """The layout is the table's: a new SEED hits the same entry."""
         dataset, scorer, _ = world
         cache = ShardIndexCache()
         run_streaming(dataset, scorer, "serial", budget=200,
                       index_cache=cache)
         run_streaming(dataset, scorer, "serial", budget=200, seed=1,
                       index_cache=cache)
-        assert cache.hits == 0
-        assert len(cache) == 2
+        assert cache.hits == 1
+        assert len(cache) == 1
 
     def test_lru_bound(self):
         cache = ShardIndexCache(maxsize=2)
